@@ -54,6 +54,29 @@ impl Args {
             .ok_or_else(|| CliError::Usage(format!("missing required option --{name}")))
     }
 
+    /// Fails with a usage error for the first option that is neither a
+    /// known value option given a value nor a known flag, so a mistyped
+    /// option (or a value option missing its value) never silently falls
+    /// back to a default.
+    pub fn reject_unknown(
+        &self,
+        options: &[&str],
+        flags: &[&str],
+    ) -> Result<(), CliError> {
+        if let Some(name) =
+            self.values.keys().find(|name| !options.contains(&name.as_str()))
+        {
+            return Err(CliError::Usage(format!("unknown option --{name}")));
+        }
+        match self.flags.iter().find(|name| !flags.contains(&name.as_str())) {
+            Some(name) if options.contains(&name.as_str()) => {
+                Err(CliError::Usage(format!("option --{name} needs a value")))
+            }
+            Some(name) => Err(CliError::Usage(format!("unknown option --{name}"))),
+            None => Ok(()),
+        }
+    }
+
     /// A parsed option with a default.
     pub fn parse_or<T: std::str::FromStr>(
         &self,
@@ -117,6 +140,30 @@ mod tests {
     fn rejects_positional_tokens() {
         let argv = vec!["positional".to_string()];
         assert!(matches!(Args::parse(&argv), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn reject_unknown_accepts_known_options_and_flags() {
+        let a = parse(&["--port", "0", "--fsync", "always", "--stats"]);
+        assert!(a.reject_unknown(&["port", "fsync"], &["stats"]).is_ok());
+        assert!(parse(&[]).reject_unknown(&[], &[]).is_ok());
+    }
+
+    #[test]
+    fn reject_unknown_names_the_offending_option() {
+        // A typo'd value option, an unknown flag, and a value option
+        // given no value are all usage errors naming the option.
+        let cases = [
+            (vec!["--fsyn", "always"], "unknown option --fsyn"),
+            (vec!["--port", "0", "--bogus"], "unknown option --bogus"),
+            (vec!["--port"], "option --port needs a value"),
+        ];
+        for (tokens, want) in cases {
+            match parse(&tokens).reject_unknown(&["port", "fsync"], &[]) {
+                Err(CliError::Usage(msg)) => assert_eq!(msg, want),
+                other => panic!("{tokens:?}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

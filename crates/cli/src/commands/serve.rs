@@ -4,14 +4,40 @@ use std::io::Write;
 use std::time::Duration;
 
 use car_core::MiningConfig;
-use car_serve::{serve, FsyncPolicy, PersistConfig, ServerConfig, ShardIdentity};
+use car_serve::{
+    serve, FsyncPolicy, PersistConfig, ServerConfig, ShardIdentity,
+    DEFAULT_HEADER_TIMEOUT_MS, DEFAULT_MAX_INFLIGHT,
+};
 
 use crate::args::Args;
 use crate::error::CliError;
 
+/// Every option `car serve` reads; anything else is a usage error.
+const OPTIONS: &[&str] = &[
+    "host",
+    "port",
+    "threads",
+    "window",
+    "queue-capacity",
+    "io-timeout-secs",
+    "header-timeout-ms",
+    "max-inflight",
+    "min-support",
+    "min-support-count",
+    "min-confidence",
+    "l-min",
+    "l-max",
+    "shard-id",
+    "shard-count",
+    "data-dir",
+    "fsync",
+    "snapshot-every",
+];
+
 /// Runs the `serve` command: boots the daemon and blocks until it shuts
 /// down (Ctrl-C or `POST /v1/shutdown`), then prints final statistics.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.reject_unknown(OPTIONS, &[])?;
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port: u16 = args.parse_or("port", 7878)?;
     let threads: usize = args.parse_or("threads", 4)?;
@@ -19,8 +45,9 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let queue_capacity: usize = args.parse_or("queue-capacity", 256)?;
     let io_timeout_secs: u64 = args.parse_or("io-timeout-secs", 10)?;
     // Overload protection: 0 disables the respective guard.
-    let header_timeout_ms: u64 = args.parse_or("header-timeout-ms", 5_000)?;
-    let max_inflight: usize = args.parse_or("max-inflight", 128)?;
+    let header_timeout_ms: u64 =
+        args.parse_or("header-timeout-ms", DEFAULT_HEADER_TIMEOUT_MS)?;
+    let max_inflight: usize = args.parse_or("max-inflight", DEFAULT_MAX_INFLIGHT)?;
 
     let min_support: f64 = args.parse_or("min-support", 0.05)?;
     let min_confidence: f64 = args.parse_or("min-confidence", 0.6)?;

@@ -115,6 +115,29 @@ fn spawn_worker(
     }
 }
 
+/// The router's own options.
+const OPTIONS: &[&str] = &[
+    "workers",
+    "shards",
+    "host",
+    "port",
+    "threads",
+    "partition-key",
+    "probe-interval-ms",
+    "replay-capacity",
+    "retry",
+    "timeout-secs",
+    "breaker-failures",
+    "breaker-cooldown-ms",
+    "request-budget-ms",
+    "min-support-count",
+];
+
+/// `car serve` options passed through unchanged to spawned workers
+/// (`--min-support-count` is forwarded too, with a default).
+const FORWARDED: &[&str] =
+    &["min-confidence", "l-min", "l-max", "window", "queue-capacity", "fsync"];
+
 /// Builds the `car serve` options forwarded to every spawned worker.
 fn forwarded_worker_args(args: &Args) -> Vec<String> {
     let mut forwarded = Vec::new();
@@ -125,8 +148,7 @@ fn forwarded_worker_args(args: &Args) -> Vec<String> {
     // Mining parameters: support is forced to an absolute count.
     let count = args.get("min-support-count").unwrap_or("2");
     push("min-support-count", count);
-    for name in ["min-confidence", "l-min", "l-max", "window", "queue-capacity", "fsync"]
-    {
+    for &name in FORWARDED {
         if let Some(value) = args.get(name) {
             push(name, value);
         }
@@ -137,6 +159,8 @@ fn forwarded_worker_args(args: &Args) -> Vec<String> {
 /// Runs the `shard` command: boots (or attaches to) the workers, starts
 /// the router, and blocks until it shuts down (`POST /v1/shutdown`).
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    let known: Vec<&str> = OPTIONS.iter().chain(FORWARDED).copied().collect();
+    args.reject_unknown(&known, &[])?;
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port: u16 = args.parse_or("port", 7979)?;
     let threads: usize = args.parse_or("threads", 4)?;
@@ -226,8 +250,10 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     )?;
     writeln!(
         out,
-        "  endpoints: POST /v1/units  GET /v1/rules  GET /v1/health  GET /metrics"
+        "  endpoints: POST /v1/units  GET /v1/rules  GET /v1/items  GET /v1/health  \
+         GET /metrics"
     )?;
+    writeln!(out, "  debug: GET /v1/debug/traces")?;
     writeln!(out, "  stop with POST /v1/shutdown")?;
     out.flush()?;
 

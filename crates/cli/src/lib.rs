@@ -43,6 +43,10 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
         return commands::audit::run(&argv[1..], out);
     }
     let args = Args::parse(&argv[1..])?;
+    if args.flag("help") {
+        writeln!(out, "{USAGE}")?;
+        return Ok(());
+    }
     match command {
         "gen" => commands::gen::run(&args, out),
         "analyze" => commands::analyze::run(&args, out),
@@ -105,6 +109,7 @@ COMMANDS:
              [--request-budget-ms MS]
              spawn mode forwards: [--min-support-count N] [--min-confidence F]
              [--l-min L] [--l-max L] [--window N] [--queue-capacity N]
+             [--fsync always|never|every=N]
     chaos    Run the deterministic fault-injecting TCP proxy
              --listen HOST:PORT --upstream HOST:PORT
              [--seed S] [--schedule FILE]
@@ -118,7 +123,7 @@ COMMANDS:
              [--root DIR] [--format human|json|sarif] [--jobs N]
              [--allow-stale-allows] [--baseline FILE]
              [--write-baseline FILE]
-    help     Show this message
+    help     Show this message (also `car <COMMAND> --help`)
 
 ENVIRONMENT:
     CAR_LOG         log filter, e.g. `info` or `mine=debug,wal=info` (default warn)

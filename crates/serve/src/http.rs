@@ -164,7 +164,7 @@ impl From<io::Error> for ParseError {
     }
 }
 
-/// Reads one request from `reader`.
+/// Reads one request from `reader` under the given [`RequestLimits`].
 ///
 /// Returns [`ParseError::ConnectionClosed`] when the stream ends cleanly
 /// before the first byte — the normal end of a keep-alive connection.
@@ -172,24 +172,8 @@ impl From<io::Error> for ParseError {
 /// # Errors
 ///
 /// Any malformed, oversized, or timed-out input yields a [`ParseError`]
-/// that maps to a 4xx/5xx via [`ParseError::status`].
-pub fn read_request<R: BufRead>(
-    reader: &mut R,
-    max_body_bytes: usize,
-) -> Result<Request, ParseError> {
-    read_request_limited(
-        reader,
-        &RequestLimits { max_body_bytes, ..RequestLimits::default() },
-    )
-}
-
-/// [`read_request`] with the full set of [`RequestLimits`], including
-/// the head deadline.
-///
-/// # Errors
-///
-/// As [`read_request`], plus [`ParseError::HeadTimeout`] when the head
-/// block dribbles past its deadline.
+/// that maps to a 4xx/5xx via [`ParseError::status`]; a head block that
+/// dribbles past its deadline is [`ParseError::HeadTimeout`].
 pub fn read_request_limited<R: BufRead>(
     reader: &mut R,
     limits: &RequestLimits,
@@ -501,7 +485,7 @@ mod tests {
     use std::io::Cursor;
 
     fn parse(raw: &[u8]) -> Result<Request, ParseError> {
-        read_request(&mut Cursor::new(raw.to_vec()), DEFAULT_MAX_BODY_BYTES)
+        read_request_limited(&mut Cursor::new(raw.to_vec()), &RequestLimits::default())
     }
 
     #[test]
@@ -569,7 +553,7 @@ mod tests {
     #[test]
     fn oversized_body_is_413_without_reading_it() {
         let raw = b"POST /v1/units HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n";
-        let err = read_request(&mut Cursor::new(raw.to_vec()), 1024).unwrap_err();
+        let err = parse(raw).unwrap_err();
         assert_eq!(err.status().0, 413);
     }
 
@@ -625,12 +609,12 @@ mod tests {
     fn two_requests_on_one_connection() {
         let raw = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
         let mut cur = Cursor::new(raw.to_vec());
-        let a = read_request(&mut cur, 1024).unwrap();
-        let b = read_request(&mut cur, 1024).unwrap();
+        let a = read_request_limited(&mut cur, &RequestLimits::default()).unwrap();
+        let b = read_request_limited(&mut cur, &RequestLimits::default()).unwrap();
         assert_eq!(a.path, "/a");
         assert_eq!(b.path, "/b");
         assert!(matches!(
-            read_request(&mut cur, 1024).unwrap_err(),
+            read_request_limited(&mut cur, &RequestLimits::default()).unwrap_err(),
             ParseError::ConnectionClosed
         ));
     }

@@ -71,5 +71,8 @@ pub use client::{
 pub use error::ServeError;
 pub use persist::wal::FsyncPolicy;
 pub use persist::PersistConfig;
-pub use server::{serve, FinalStats, ServerConfig, ServerHandle};
+pub use server::{
+    serve, FinalStats, Listen, ServerConfig, ServerHandle, Service,
+    DEFAULT_HEADER_TIMEOUT_MS, DEFAULT_MAX_INFLIGHT,
+};
 pub use state::ShardIdentity;

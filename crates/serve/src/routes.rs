@@ -34,7 +34,6 @@
 //!   truncated.
 //! * `POST /v1/shutdown` — begin graceful shutdown.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use car_core::{CyclicRule, MinConfidence};
@@ -79,7 +78,7 @@ const MAX_ITEM_ID: u64 = u32::MAX as u64;
 
 /// Dispatches a request, returning the route (for metrics) and the
 /// response.
-pub fn handle(state: &Arc<AppState>, req: &Request) -> (Route, Response) {
+pub fn handle(state: &AppState, req: &Request) -> (Route, Response) {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/v1/units") => (Route::IngestUnits, ingest_units(state, req)),
         ("GET", "/v1/rules") => (Route::Rules, get_rules(state, req)),
@@ -101,7 +100,7 @@ pub fn handle(state: &Arc<AppState>, req: &Request) -> (Route, Response) {
 }
 
 /// Maps an enqueue rejection to its HTTP response, recording metrics.
-fn enqueue_error_response(state: &Arc<AppState>, e: EnqueueError) -> Response {
+fn enqueue_error_response(state: &AppState, e: EnqueueError) -> Response {
     match e {
         EnqueueError::Full => {
             state.metrics.record_ingest_rejected();
@@ -118,7 +117,7 @@ fn enqueue_error_response(state: &Arc<AppState>, e: EnqueueError) -> Response {
     }
 }
 
-fn ingest_units(state: &Arc<AppState>, req: &Request) -> Response {
+fn ingest_units(state: &AppState, req: &Request) -> Response {
     let (units, is_batch) = match parse_units_body(&req.body) {
         Ok(parsed) => parsed,
         Err(msg) => return Response::error(400, &msg),
@@ -164,11 +163,7 @@ fn ingest_units(state: &Arc<AppState>, req: &Request) -> Response {
 
 /// Handles a top-level-array body: one WAL append + one queue pass for
 /// the whole batch, per-unit accounting in the response.
-fn ingest_batch(
-    state: &Arc<AppState>,
-    req: &Request,
-    units: Vec<Vec<ItemSet>>,
-) -> Response {
+fn ingest_batch(state: &AppState, req: &Request, units: Vec<Vec<ItemSet>>) -> Response {
     if units.is_empty() {
         return Response::error(400, "empty unit batch");
     }
@@ -283,7 +278,7 @@ pub fn parse_unit(doc: &Json) -> Result<Vec<ItemSet>, String> {
     Ok(unit)
 }
 
-fn get_rules(state: &Arc<AppState>, req: &Request) -> Response {
+fn get_rules(state: &AppState, req: &Request) -> Response {
     let deadline = request_deadline(req);
     if deadline.is_some_and(|d| Instant::now() >= d) {
         return deadline_exceeded_response();
@@ -294,25 +289,9 @@ fn get_rules(state: &Arc<AppState>, req: &Request) -> Response {
             "recovering the window from disk; rules are not yet consistent",
         );
     }
-    let length = match parse_u32_param(req, "length") {
-        Ok(v) => v,
+    let (length, offset, min_confidence) = match parse_rules_params(req) {
+        Ok(params) => params,
         Err(resp) => return resp,
-    };
-    let offset = match parse_u32_param(req, "offset") {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let min_confidence = match req.query_param("min_confidence") {
-        None => None,
-        Some(raw) => match raw.parse::<f64>().ok().and_then(MinConfidence::new) {
-            Some(q) => Some(q),
-            None => {
-                return Response::error(
-                    400,
-                    &format!("invalid min_confidence `{raw}` (need 0..=1)"),
-                )
-            }
-        },
     };
     if let Some(q) = min_confidence {
         if q.value() < state.config.min_confidence.value() {
@@ -370,7 +349,7 @@ fn get_rules(state: &Arc<AppState>, req: &Request) -> Response {
     rules_response(state, epoch, shared.as_ref().clone())
 }
 
-fn get_items(state: &Arc<AppState>, req: &Request) -> Response {
+fn get_items(state: &AppState, req: &Request) -> Response {
     let deadline = request_deadline(req);
     if deadline.is_some_and(|d| Instant::now() >= d) {
         return deadline_exceeded_response();
@@ -388,12 +367,7 @@ fn get_items(state: &Arc<AppState>, req: &Request) -> Response {
     let epoch = miner.total_pushed();
     drop(miner);
 
-    let items: Vec<Json> = supports
-        .iter()
-        .map(|(id, support)| {
-            object([("id", Json::from(*id)), ("support", Json::from(*support))])
-        })
-        .collect();
+    let items: Vec<Json> = supports.into_iter().map(item_to_json).collect();
     let body = object([
         ("units_retained", Json::from(units_retained)),
         ("window", Json::from(window)),
@@ -409,13 +383,19 @@ fn get_items(state: &Arc<AppState>, req: &Request) -> Response {
 /// `X-Car-Epoch` (units pushed when the body was rendered, so the
 /// router can report view freshness) and — on shard workers —
 /// `X-Car-Shard-Id`.
-fn rules_response(state: &Arc<AppState>, epoch: u64, body: Vec<u8>) -> Response {
+fn rules_response(state: &AppState, epoch: u64, body: Vec<u8>) -> Response {
     let mut resp =
         Response::json_bytes(200, body).with_header("x-car-epoch", epoch.to_string());
     if let Some(shard) = state.shard {
         resp = resp.with_header("x-car-shard-id", shard.shard_id.to_string());
     }
     resp
+}
+
+/// Renders one `(item id, window support)` entry of `GET /v1/items`;
+/// public, like [`rule_to_json`], so merged router bodies match.
+pub fn item_to_json((id, support): (u32, u64)) -> Json {
+    object([("id", Json::from(id)), ("support", Json::from(support))])
 }
 
 /// Renders one rule, keeping only cycles matching the filters; a rule
@@ -455,6 +435,33 @@ pub fn rule_to_json(
     ]))
 }
 
+/// `GET /v1/rules` filters: `(length, offset, min_confidence)`.
+pub type RulesParams = (Option<u32>, Option<u32>, Option<MinConfidence>);
+
+/// The `GET /v1/rules` filters, parsed and range-checked. The shard router
+/// validates with the same function before re-rendering them for its
+/// workers.
+///
+/// # Errors
+///
+/// A `400` response naming the first invalid parameter.
+pub fn parse_rules_params(req: &Request) -> Result<RulesParams, Response> {
+    let length = parse_u32_param(req, "length")?;
+    let offset = parse_u32_param(req, "offset")?;
+    let min_confidence = match req.query_param("min_confidence") {
+        None => None,
+        Some(raw) => Some(
+            raw.parse::<f64>().ok().and_then(MinConfidence::new).ok_or_else(|| {
+                Response::error(
+                    400,
+                    &format!("invalid min_confidence `{raw}` (need 0..=1)"),
+                )
+            })?,
+        ),
+    };
+    Ok((length, offset, min_confidence))
+}
+
 fn parse_u32_param(req: &Request, name: &str) -> Result<Option<u32>, Response> {
     match req.query_param(name) {
         None => Ok(None),
@@ -464,7 +471,7 @@ fn parse_u32_param(req: &Request, name: &str) -> Result<Option<u32>, Response> {
     }
 }
 
-fn health(state: &Arc<AppState>) -> Response {
+fn health(state: &AppState) -> Response {
     // Read the queue depth before taking the miner lock: queue.depth()
     // locks the queue internally, and nothing may acquire `inner` while
     // holding `miner` (lock order is inner-free under miner).
@@ -514,7 +521,7 @@ fn health(state: &Arc<AppState>) -> Response {
     Response::json(200, &Json::Object(fields))
 }
 
-fn metrics(state: &Arc<AppState>) -> Response {
+fn metrics(state: &AppState) -> Response {
     let (retained_units, evictions, rule_entries, rules_current, rules_tracked) = {
         let miner = state.miner.read_or_recover();
         let rules_current = miner.current_rules().map(|r| r.len()).unwrap_or(0);
@@ -568,7 +575,7 @@ fn metrics(state: &Arc<AppState>) -> Response {
 
 /// `GET /v1/debug/profile`: the car-obs flat span profile, the
 /// process-global mining counters, and the query-cache state, as JSON.
-fn debug_profile(state: &Arc<AppState>) -> Response {
+fn debug_profile(state: &AppState) -> Response {
     let spans: Vec<Json> = car_obs::profile_snapshot()
         .into_iter()
         .map(|s| {
@@ -678,7 +685,7 @@ fn debug_spans(req: &Request) -> Response {
     )
 }
 
-fn shutdown(state: &Arc<AppState>) -> Response {
+fn shutdown(state: &AppState) -> Response {
     state.begin_shutdown();
     Response::json(200, &object([("status", Json::from("shutting_down"))])).with_close()
 }
@@ -687,6 +694,7 @@ fn shutdown(state: &Arc<AppState>) -> Response {
 mod tests {
     use super::*;
     use car_core::MiningConfig;
+    use std::sync::Arc;
 
     fn test_state() -> Arc<AppState> {
         let config = MiningConfig::builder()

@@ -4,7 +4,10 @@
 //! polling a shutdown flag between accepts; each accepted connection is
 //! handed to the worker [`ThreadPool`](crate::pool::ThreadPool), which
 //! serves keep-alive requests until the client closes, an error occurs,
-//! or shutdown begins. Shutdown (via `POST /v1/shutdown`, SIGINT, or
+//! or shutdown begins. Both daemons run this one loop, with its
+//! admission gate and head deadline, over their own [`Service`]: `car
+//! serve` over [`routes::handle`], the `car shard` router over its
+//! fan-out. Shutdown (via `POST /v1/shutdown`, SIGINT, or
 //! [`ServerHandle::trigger_shutdown`]) stops accepting, lets in-flight
 //! requests drain (the pool join), drains the ingest queue into the
 //! miner, and returns final statistics.
@@ -17,9 +20,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use car_core::MiningConfig;
+use car_obs::trace::{self, FinishedTrace};
 
-use crate::http::{self, RequestLimits, Response, DEFAULT_MAX_BODY_BYTES};
-use crate::metrics::Route;
+use crate::http::{self, Request, RequestLimits, Response, DEFAULT_MAX_BODY_BYTES};
+use crate::metrics::{Metrics, Route};
+use crate::pool::ThreadPool;
 use crate::routes;
 use crate::state::{spawn_ingest_worker, AppState};
 use crate::sync::{log_warn, RwLockExt};
@@ -31,6 +36,14 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// Requests served per connection before forcing a close (keeps a
 /// single chatty client from pinning a worker forever).
 const MAX_REQUESTS_PER_CONNECTION: usize = 10_000;
+
+/// Default budget for reading a request head, measured from its first
+/// byte (slow-loris defense).
+pub const DEFAULT_HEADER_TIMEOUT_MS: u64 = 5_000;
+
+/// Default admission limit: connections served at once before new
+/// arrivals are shed with `503 overloaded`.
+pub const DEFAULT_MAX_INFLIGHT: usize = 128;
 
 /// Everything needed to boot a daemon.
 #[derive(Clone, Debug)]
@@ -78,8 +91,8 @@ impl Default for ServerConfig {
             mining: MiningConfig::default(),
             io_timeout: Duration::from_secs(10),
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
-            header_timeout: Some(Duration::from_secs(5)),
-            max_inflight: 128,
+            header_timeout: Some(Duration::from_millis(DEFAULT_HEADER_TIMEOUT_MS)),
+            max_inflight: DEFAULT_MAX_INFLIGHT,
             handle_signals: false,
             persist: None,
             shard: None,
@@ -163,23 +176,12 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
         config.persist.clone(),
         config.shard,
     )?;
-    let addrs: Vec<SocketAddr> =
-        config.addr.to_socket_addrs().map_err(ServeError::Io)?.collect();
-    let listener = TcpListener::bind(&addrs[..]).map_err(ServeError::Io)?;
-    listener.set_nonblocking(true).map_err(ServeError::Io)?;
-    let addr = listener.local_addr().map_err(ServeError::Io)?;
-
     if config.handle_signals {
         crate::shutdown::install_signal_handlers();
     }
-    let ingest_thread =
-        spawn_ingest_worker(Arc::clone(&state)).map_err(ServeError::Io)?;
-    // Build the pool here, not in the accept loop, so a failed worker
-    // spawn surfaces as a startup error instead of a panic mid-serve.
-    let pool = crate::pool::ThreadPool::new(config.threads, "car-worker")
-        .map_err(ServeError::Io)?;
-    let accept_state = Arc::clone(&state);
-    let policy = Arc::new(ConnPolicy {
+    let listen = Listen {
+        name: "car",
+        threads: config.threads,
         io_timeout: config.io_timeout,
         limits: RequestLimits {
             max_head_bytes: http::MAX_HEAD_BYTES,
@@ -187,21 +189,20 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
             header_timeout: config.header_timeout,
         },
         max_inflight: config.max_inflight,
-        inflight: AtomicUsize::new(0),
-    });
-    let handle_signals = config.handle_signals;
-    let spawn_result =
-        std::thread::Builder::new().name("car-accept".into()).spawn(move || {
-            accept_loop(&listener, &accept_state, pool, &policy, handle_signals);
-        });
-    let accept_thread = match spawn_result {
+        handle_signals: config.handle_signals,
+    };
+    // Listen before the applier starts: a daemon that cannot take its
+    // port must not touch the data directory.
+    let (addr, accept_thread) =
+        listen.spawn(&config.addr, Arc::clone(&state)).map_err(ServeError::Io)?;
+    let ingest_thread = match spawn_ingest_worker(Arc::clone(&state)) {
         Ok(handle) => handle,
         Err(e) => {
-            // Unwind the already-running applier before reporting the
-            // startup failure, so no thread outlives the error.
+            // Unwind the already-running accept loop before reporting
+            // the startup failure, so no thread outlives the error.
             state.begin_shutdown();
-            if ingest_thread.join().is_err() {
-                log_warn("ingest thread panicked during startup unwind");
+            if accept_thread.join().is_err() {
+                log_warn("accept thread panicked during startup unwind");
             }
             return Err(ServeError::Io(e));
         }
@@ -221,14 +222,124 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, ServeError> {
     })
 }
 
-/// Per-connection serving policy, shared by the accept loop and every
-/// worker thread: socket timeouts, parse limits, and the bounded
-/// in-flight admission gate.
-struct ConnPolicy {
-    io_timeout: Duration,
-    limits: RequestLimits,
+/// The worker's step: [`routes::handle`]; the finished trace goes back
+/// to the caller in `X-Car-Spans` and into the local span ring.
+impl Service for AppState {
+    const LOG_TARGET: &'static str = "serve";
+    const ROOT_SPAN: &'static str = "serve.request";
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        AppState::is_shutting_down(self)
+    }
+
+    fn begin_shutdown(&self) {
+        AppState::begin_shutdown(self);
+    }
+
+    fn request_span(&self) -> Option<car_obs::SpanGuard> {
+        Some(car_obs::time_span!("serve.request"))
+    }
+
+    fn handle(&self, request: &Request) -> (Route, Response) {
+        routes::handle(self, request)
+    }
+
+    fn finish_trace(&self, finished: FinishedTrace, response: Response) -> Response {
+        trace::publish_spans(&finished.spans);
+        response
+            .with_header(trace::TRACE_ID_HEADER, finished.trace_id.to_hex())
+            .with_header(trace::SPANS_HEADER, trace::encode_spans(&finished.spans))
+    }
+}
+
+/// A daemon's request-handling step, run by the connection loop once
+/// per parsed request. The loop owns the rest: admission, parsing,
+/// trace begin, keep-alive, the write, request metrics and the log.
+pub trait Service: Send + Sync + 'static {
+    /// Log target of the per-request debug line.
+    const LOG_TARGET: &'static str;
+    /// Name of each request's root trace span.
+    const ROOT_SPAN: &'static str;
+
+    /// Request totals, the latency histogram and the parse-error count.
+    fn metrics(&self) -> &Metrics;
+
+    /// Whether shutdown has begun: stop accepting, close keep-alives.
+    fn is_shutting_down(&self) -> bool;
+
+    /// Begins shutdown; called when a signal arrives.
+    fn begin_shutdown(&self);
+
+    /// A flat-profile span covering the whole request, response write
+    /// included. It opens before the request's trace, so it never shows
+    /// up in trace trees. `None` records nothing.
+    fn request_span(&self) -> Option<car_obs::SpanGuard> {
+        None
+    }
+
+    /// Routes one request.
+    fn handle(&self, request: &Request) -> (Route, Response);
+
+    /// Stamps the finished trace on the response and publishes or
+    /// retains its spans.
+    fn finish_trace(&self, finished: FinishedTrace, response: Response) -> Response;
+}
+
+/// How one daemon's connections are accepted and served.
+#[derive(Clone, Copy, Debug)]
+pub struct Listen {
+    /// Thread-name prefix: `{name}-accept` and `{name}-worker-N`.
+    pub name: &'static str,
+    /// Pool threads serving connections.
+    pub threads: usize,
+    /// Per-connection socket read/write timeout.
+    pub io_timeout: Duration,
+    /// Request parse limits, the head deadline included.
+    pub limits: RequestLimits,
     /// Admission limit; `0` disables shedding.
-    max_inflight: usize,
+    pub max_inflight: usize,
+    /// Also stop when the process-wide signal flag is raised.
+    pub handle_signals: bool,
+}
+
+impl Listen {
+    /// Binds `addr` (port 0 for ephemeral), builds the connection pool
+    /// and spawns the accept thread. It serves `service` until shutdown
+    /// begins, then drains in-flight connections and exits.
+    ///
+    /// # Errors
+    ///
+    /// The OS error when the address cannot be bound or a thread cannot
+    /// be spawned.
+    pub fn spawn<S: Service>(
+        self,
+        addr: &str,
+        service: Arc<S>,
+    ) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        let listener = TcpListener::bind(&addrs[..])?;
+        listener.set_nonblocking(true)?;
+        let local = listener.local_addr()?;
+        // Build the pool here, not in the accept loop, so a failed worker
+        // spawn surfaces as a startup error instead of a panic mid-serve.
+        let pool = ThreadPool::new(self.threads, &format!("{}-worker", self.name))?;
+        let policy = Arc::new(ConnPolicy { listen: self, inflight: AtomicUsize::new(0) });
+        let accept = std::thread::Builder::new()
+            .name(format!("{}-accept", self.name))
+            .spawn(move || accept_loop(&listener, &service, pool, &policy))?;
+        Ok((local, accept))
+    }
+}
+
+/// Per-connection serving policy, shared by the accept loop and every
+/// worker thread: the [`Listen`] settings plus the live in-flight count
+/// behind the admission gate.
+struct ConnPolicy {
+    listen: Listen,
     /// Connections currently being served.
     inflight: AtomicUsize,
 }
@@ -236,13 +347,13 @@ struct ConnPolicy {
 impl ConnPolicy {
     /// Tries to admit one connection; `false` means shed it.
     fn admit(&self) -> bool {
-        if self.max_inflight == 0 {
+        if self.listen.max_inflight == 0 {
             return true;
         }
         // Optimistic increment: over-admission by a racing accept is
         // impossible because there is a single accept thread.
         // audit:allow(a6-relaxed-control) reason="the single accept thread performs every load; a worker's release may lag one decision, which at worst sheds one connection early — the gate is a bound, not an invariant"
-        if self.inflight.load(Ordering::Relaxed) >= self.max_inflight {
+        if self.inflight.load(Ordering::Relaxed) >= self.listen.max_inflight {
             return false;
         }
         self.inflight.fetch_add(1, Ordering::Relaxed);
@@ -250,7 +361,7 @@ impl ConnPolicy {
     }
 
     fn release(&self) {
-        if self.max_inflight != 0 {
+        if self.listen.max_inflight != 0 {
             self.inflight.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -298,18 +409,19 @@ fn shed_connection(mut stream: TcpStream) {
     }
 }
 
-fn accept_loop(
+fn accept_loop<S: Service>(
     listener: &TcpListener,
-    state: &Arc<AppState>,
-    pool: crate::pool::ThreadPool,
+    service: &Arc<S>,
+    pool: ThreadPool,
     policy: &Arc<ConnPolicy>,
-    handle_signals: bool,
 ) {
     loop {
-        if state.is_shutting_down() || (handle_signals && crate::shutdown::signalled()) {
+        if service.is_shutting_down()
+            || (policy.listen.handle_signals && crate::shutdown::signalled())
+        {
             // A signal may arrive without anything having closed the
             // ingest queue yet.
-            state.begin_shutdown();
+            service.begin_shutdown();
             break;
         }
         match listener.accept() {
@@ -318,13 +430,13 @@ fn accept_loop(
                     shed_connection(stream);
                     continue;
                 }
-                let state = Arc::clone(state);
+                let service = Arc::clone(service);
                 let policy = Arc::clone(policy);
                 pool.execute(move || {
                     // Guard, not a trailing call: the slot must free
                     // even if a handler panics mid-connection.
                     let _slot = InflightSlot(&policy);
-                    serve_connection(stream, &state, &policy);
+                    serve_connection(stream, &*service, &policy);
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -343,9 +455,10 @@ fn accept_loop(
 }
 
 /// Serves one connection until close, error, limit, or shutdown.
-fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolicy) {
-    if stream.set_read_timeout(Some(policy.io_timeout)).is_err()
-        || stream.set_write_timeout(Some(policy.io_timeout)).is_err()
+fn serve_connection<S: Service>(stream: TcpStream, service: &S, policy: &ConnPolicy) {
+    let io_timeout = Some(policy.listen.io_timeout);
+    if stream.set_read_timeout(io_timeout).is_err()
+        || stream.set_write_timeout(io_timeout).is_err()
         || stream.set_nodelay(true).is_err()
     {
         return;
@@ -358,11 +471,12 @@ fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolic
 
     for _ in 0..MAX_REQUESTS_PER_CONNECTION {
         let started = Instant::now();
-        let request = match http::read_request_limited(&mut reader, &policy.limits) {
+        let request = match http::read_request_limited(&mut reader, &policy.listen.limits)
+        {
             Ok(request) => request,
             Err(http::ParseError::ConnectionClosed) => return,
             Err(e) => {
-                state.metrics.record_parse_error();
+                service.metrics().record_parse_error();
                 if matches!(e, http::ParseError::HeadTimeout) {
                     car_obs::counters::RESILIENCE.add_header_timeout();
                 }
@@ -378,9 +492,13 @@ fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolic
                 // timeout is excluded — no request bytes ever arrived,
                 // so there is no request to count.
                 if !matches!(e, http::ParseError::Timeout) {
-                    state.metrics.record_request(Route::Other, status, started.elapsed());
+                    service.metrics().record_request(
+                        Route::Other,
+                        status,
+                        started.elapsed(),
+                    );
                     car_obs::debug!(
-                        "serve",
+                        S::LOG_TARGET,
                         [id = car_obs::next_request_id(), status = status],
                         "request rejected by the HTTP parser: {e}"
                     );
@@ -391,43 +509,38 @@ fn serve_connection(stream: TcpStream, state: &Arc<AppState>, policy: &ConnPolic
         let request_id = car_obs::next_request_id();
         // The flat-profile span is created *before* the trace arms so it
         // stays flat-only: the trace's root span already covers the
-        // request, and a duplicate "serve.request" child would be noise
-        // in every tree.
-        let request_span = car_obs::time_span!("serve.request");
+        // request, and a duplicate child would be noise in every tree.
+        let request_span = service.request_span();
         // Adopt the caller's trace context (the shard router stamps
-        // fan-out legs) or mint a fresh trace; hostile or malformed
-        // headers fall back to a fresh trace, never an error.
-        let ctx = car_obs::trace::TraceContext::from_headers(
-            request.header(car_obs::trace::TRACE_ID_HEADER),
-            request.header(car_obs::trace::PARENT_SPAN_HEADER),
+        // fan-out legs; clients may propagate their own) or mint a fresh
+        // trace; hostile or malformed headers fall back to a fresh
+        // trace, never an error.
+        let ctx = trace::TraceContext::from_headers(
+            request.header(trace::TRACE_ID_HEADER),
+            request.header(trace::PARENT_SPAN_HEADER),
         );
-        let trace = car_obs::trace::begin_request(ctx, "serve.request");
-        let trace_hex = trace.trace_id().map_or_else(String::new, |id| id.to_hex());
-        let (route, mut response) = routes::handle(state, &request);
+        let request_trace = trace::begin_request(ctx, S::ROOT_SPAN);
+        let trace_hex =
+            request_trace.trace_id().map_or_else(String::new, |id| id.to_hex());
+        let (route, mut response) = service.handle(&request);
         // Handler children are closed now, so these land on the root.
-        car_obs::trace::annotate("route", route.label());
-        car_obs::trace::annotate("status", &response.status.to_string());
-        // Finish before writing: the response must carry the spans, so
+        trace::annotate("route", route.label());
+        trace::annotate("status", &response.status.to_string());
+        // Finish before writing: the response must carry the trace, so
         // the root cannot cover its own serialization.
-        if let Some(finished) = trace.finish() {
-            response = response
-                .with_header(car_obs::trace::TRACE_ID_HEADER, finished.trace_id.to_hex())
-                .with_header(
-                    car_obs::trace::SPANS_HEADER,
-                    car_obs::trace::encode_spans(&finished.spans),
-                );
-            car_obs::trace::publish_spans(&finished.spans);
+        if let Some(finished) = request_trace.finish() {
+            response = service.finish_trace(finished, response);
         }
         // During shutdown, tell keep-alive clients to go away.
-        if request.wants_close() || state.is_shutting_down() {
+        if request.wants_close() || service.is_shutting_down() {
             response.close = true;
         }
         let close = response.close;
         let write_result = response.write_to(&mut writer);
         drop(request_span);
-        state.metrics.record_request(route, response.status, started.elapsed());
+        service.metrics().record_request(route, response.status, started.elapsed());
         car_obs::debug!(
-            "serve",
+            S::LOG_TARGET,
             [
                 id = request_id,
                 trace_id = trace_hex,

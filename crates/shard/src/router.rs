@@ -29,6 +29,12 @@
 //!   the same trace as Chrome `trace_event` JSON (load it in
 //!   `chrome://tracing` or Perfetto).
 //!
+//! Connections run on car-serve's connection loop
+//! ([`car_serve::Service`]), with the worker's admission gate and head
+//! deadline at car-serve's defaults. All worker traffic goes through
+//! one leg runner (`RouterState::fan_out`); callers supply only how to
+//! classify a worker's answer.
+//!
 //! ## Distributed tracing
 //!
 //! Every router request begins (or adopts, via `X-Car-Trace-Id` /
@@ -65,9 +71,9 @@
 //!
 //! ## Deadlines
 //!
-//! Every `/v1/rules` request gets a budget: the smaller of the router's
-//! configured `request_budget` and the client's `X-Car-Deadline-Ms`
-//! header. Each fan-out leg forwards the *remaining* budget as
+//! Every `/v1/rules` and `/v1/items` request gets a budget: the smaller
+//! of the router's configured `request_budget` and the client's
+//! `X-Car-Deadline-Ms` header. Each fan-out leg forwards the *remaining* budget as
 //! `X-Car-Deadline-Ms`, and workers abort escalated re-detection when
 //! it expires (answering `504 deadline_exceeded`), so one slow shard
 //! cannot pin the whole merge past the deadline.
@@ -82,8 +88,7 @@
 //! catch-up replay holds `ingest` through slow network I/O.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -91,21 +96,24 @@ use std::time::{Duration, Instant};
 
 use car_itemset::ItemSet;
 use car_obs::counters::SHARD;
-use car_obs::trace::{self, SpanRecord, SpanUid, TraceId, TraceStore, TraceStorePolicy};
-use car_serve::http::{self, Response, DEFAULT_MAX_BODY_BYTES};
+use car_obs::trace::{
+    self, FinishedTrace, SpanRecord, SpanUid, TraceId, TraceStore, TraceStorePolicy,
+};
+use car_serve::http::{self, RequestLimits, Response, DEFAULT_MAX_BODY_BYTES};
 use car_serve::json::{object, Json};
 use car_serve::metrics::{Metrics, Route};
+use car_serve::routes::{item_to_json, rule_to_json};
 use car_serve::sync::{log_warn, LockExt};
-use car_serve::{RetryPolicy, RetryingClient};
+use car_serve::{ClientResponse, Listen, RetryPolicy, RetryingClient, Service};
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
+use crate::merge::{
+    merge_item_supports, merge_rule_views, parse_items_body, parse_rules_body,
+};
 use crate::ring::{PartitionKey, ShardRing};
 
-/// How often the accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// Requests served per connection before forcing a close.
-const MAX_REQUESTS_PER_CONNECTION: usize = 10_000;
+/// How often the sleeping prober re-checks the shutdown flag.
+const PROBE_POLL: Duration = Duration::from_millis(25);
 
 /// Router startup/runtime errors.
 #[derive(Debug)]
@@ -257,6 +265,54 @@ impl Worker {
         }
         self.breaker.record_success()
     }
+
+    /// One leg's exchange with this worker (see
+    /// [`RouterState::fan_out`]). `trace` is the request's trace id and
+    /// this leg's span uid, forwarded so the worker's spans nest under
+    /// the leg; the spans the worker sent back come with the leg.
+    fn send_leg<V>(
+        &mut self,
+        leg: &LegRequest<'_>,
+        trace: Option<(TraceId, SpanUid)>,
+        body: impl FnOnce() -> Option<Vec<u8>>,
+        classify: impl Fn(&mut Worker, Option<ClientResponse>) -> Leg<V>,
+    ) -> (Leg<V>, Vec<SpanRecord>) {
+        if self.state() != WorkerState::Up {
+            return (Leg::Skipped(self.shard_id), Vec::new());
+        }
+        let mut headers = Vec::new();
+        if let Some(deadline) = leg.deadline {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return (timed_out(self), Vec::new());
+            }
+            // Forward the remaining budget so the worker can abort
+            // escalated re-detection instead of pinning the merge past
+            // the deadline.
+            headers.push((
+                "X-Car-Deadline-Ms",
+                u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX).to_string(),
+            ));
+            SHARD.add_fanout_legs(1);
+        }
+        if let Some((trace_id, leg_uid)) = trace {
+            headers.push((trace::TRACE_ID_HEADER, trace_id.to_hex()));
+            headers.push((trace::PARENT_SPAN_HEADER, leg_uid.to_hex()));
+        }
+        let body = body();
+        let response = self.client.request_with(
+            leg.method,
+            leg.target,
+            &headers,
+            body.as_deref(),
+            leg.deadline,
+        );
+        let spans = trace
+            .zip(response.as_ref().and_then(|r| r.header(trace::SPANS_HEADER)))
+            .map(|((trace_id, _), raw)| trace::decode_spans(trace_id, raw))
+            .unwrap_or_default();
+        (classify(self, response), spans)
+    }
 }
 
 /// One worker's admission + breaker view, read under its mutex.
@@ -332,32 +388,11 @@ pub struct RouterState {
     shutdown: AtomicBool,
 }
 
-/// Outcome of routing one ingest batch.
-struct RouteOutcome {
-    applied: bool,
-    units_routed: u64,
-    /// Per worker, in shard order: post-send state plus whether this
-    /// batch's send to it succeeded. The `ok` flag — not the state —
-    /// decides degradation, so the very first failed send is already a
-    /// `partial` response even while the breaker is still counting
-    /// failures toward its threshold.
-    shards: Vec<(u32, WorkerState, bool)>,
-}
-
-impl RouteOutcome {
-    fn degraded(&self) -> Vec<u32> {
-        self.shards.iter().filter(|(_, _, ok)| !ok).map(|(id, _, _)| *id).collect()
-    }
-
-    fn states(&self) -> Vec<(u32, WorkerState)> {
-        self.shards.iter().map(|&(id, s, _)| (id, s)).collect()
-    }
-}
-
-/// One fan-out leg's disposition.
-enum Leg {
+/// One fan-out leg's disposition. `V` is what a successful leg brings
+/// back: a decoded query answer, or an ingest leg's `applied` flag.
+enum Leg<V> {
     Ok {
-        view: crate::merge::ShardView,
+        view: V,
         /// The worker's `x-car-epoch` (units applied when the body was
         /// rendered), used to surface cross-shard skew.
         epoch: Option<u64>,
@@ -374,7 +409,7 @@ enum Leg {
 }
 
 /// The leg's trace-attribute outcome label.
-fn leg_outcome(leg: &Leg) -> &'static str {
+fn leg_outcome<V>(leg: &Leg<V>) -> &'static str {
     match leg {
         Leg::Ok { .. } => "ok",
         Leg::Skipped(_) => "skipped",
@@ -385,61 +420,19 @@ fn leg_outcome(leg: &Leg) -> &'static str {
     }
 }
 
-/// Elapsed wall time of a leg, saturating at `u64::MAX` microseconds.
-fn elapsed_us(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
+/// Decodes a worker's query body into `(units_retained, window, payload)`.
+type Decode<T> = fn(&str) -> Result<(u64, u64, T), String>;
 
-/// The active trace context, copied before a fan-out so scoped leg
-/// threads (which do not see the request thread's trace) can stamp
-/// forwarded headers and time their legs as plain span records.
-#[derive(Clone, Copy)]
-struct LegTraceContext {
-    trace_id: TraceId,
-    root_uid: SpanUid,
-}
-
-impl LegTraceContext {
-    fn capture() -> Option<LegTraceContext> {
-        trace::current_context()
-            .map(|(trace_id, root_uid)| LegTraceContext { trace_id, root_uid })
-    }
-
-    /// The forwarded headers for one leg: the trace id plus the leg
-    /// span's uid as the worker's parent.
-    fn headers(self, leg_uid: SpanUid) -> [(&'static str, String); 2] {
-        [
-            (trace::TRACE_ID_HEADER, self.trace_id.to_hex()),
-            (trace::PARENT_SPAN_HEADER, leg_uid.to_hex()),
-        ]
-    }
-
-    /// One finished leg span.
-    fn leg_span(
-        self,
-        leg_uid: SpanUid,
-        name: &str,
-        start_us: u64,
-        started: Instant,
-        attrs: Vec<(String, String)>,
-    ) -> SpanRecord {
-        SpanRecord {
-            trace_id: self.trace_id,
-            uid: leg_uid,
-            parent: Some(self.root_uid),
-            name: name.to_string(),
-            start_us,
-            dur_us: elapsed_us(started),
-            attrs,
-        }
-    }
-
-    /// Worker spans returned in a leg response's `X-Car-Spans` header.
-    fn worker_spans(self, resp: Option<&car_serve::ClientResponse>) -> Vec<SpanRecord> {
-        resp.and_then(|r| r.header(trace::SPANS_HEADER))
-            .map(|raw| trace::decode_spans(self.trace_id, raw))
-            .unwrap_or_default()
-    }
+/// The request every leg of one fan-out sends.
+struct LegRequest<'a> {
+    /// The leg span's name: `router.leg.{ingest,rules,items}`.
+    span: &'static str,
+    method: &'static str,
+    target: &'a str,
+    /// Query legs carry the request's deadline: it is checked before
+    /// sending and forwarded as `X-Car-Deadline-Ms`, and the leg counts
+    /// toward `car_shard_fanout_total`. Ingest legs carry none.
+    deadline: Option<Instant>,
 }
 
 fn units_to_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
@@ -459,15 +452,6 @@ fn units_to_body(units: &[Vec<ItemSet>]) -> Vec<u8> {
 }
 
 impl RouterState {
-    fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Begins shutdown (idempotent).
-    pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
     /// The router's tail-retained trace store (tests and embedders).
     pub fn traces(&self) -> &TraceStore {
         &self.traces
@@ -491,8 +475,13 @@ impl RouterState {
     }
 
     /// Routes a batch of full units: records them for replay, then
-    /// sends each live worker its aligned sub-batch in parallel.
-    fn route_units(&self, units: Vec<Vec<ItemSet>>, wait: bool) -> RouteOutcome {
+    /// sends each live worker its aligned sub-batch in parallel. Returns
+    /// the routed-unit total and every worker's leg, in shard order.
+    fn route_units(
+        &self,
+        units: Vec<Vec<ItemSet>>,
+        wait: bool,
+    ) -> (u64, Vec<(Leg<bool>, WorkerState)>) {
         let n = units.len();
         let count = self.ring.count() as usize;
         let mut ingest = self.ingest.lock_or_recover();
@@ -520,117 +509,190 @@ impl RouterState {
         self.replay_depth_gauge.store(ingest.replay.len() as u64, Ordering::Relaxed);
 
         let target = if wait { "/v1/units?wait=true" } else { "/v1/units" };
-        let leg_ctx = LegTraceContext::capture();
-        // (shard_id, post-send state, send ok, batch applied, leg spans)
-        type Send = (u32, WorkerState, bool, bool, Vec<SpanRecord>);
-        let sends: Vec<Send> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .workers
-                .iter()
-                .zip(splits)
-                .map(|(worker, sub_batch)| {
+        let legs = self.fan_out(
+            &LegRequest {
+                span: "router.leg.ingest",
+                method: "POST",
+                target,
+                deadline: None,
+            },
+            |shard| splits.get(shard).map(|sub_batch| units_to_body(sub_batch)),
+            |w, response| classify_ingest(w, response, n),
+        );
+        drop(ingest);
+        (units_routed, legs)
+    }
+
+    /// The one per-worker leg runner behind every fan-out: one scoped
+    /// thread per worker, each holding that worker's mutex for its whole
+    /// exchange. A leg skips a worker that is not `Up`, checks and
+    /// forwards the remaining deadline, stamps the trace headers, sends
+    /// `body(shard)` and hands the answer to `classify`. The leg's span
+    /// (`shard`, `breaker`, `outcome` and `epoch` attributes) and the
+    /// worker spans it brought back are recorded into the request's
+    /// trace. Returns every leg with its worker's state after the leg,
+    /// in shard order; a panicked leg thread reads as `Failed`.
+    fn fan_out<V: Send>(
+        &self,
+        leg: &LegRequest<'_>,
+        body: impl Fn(usize) -> Option<Vec<u8>> + Sync,
+        classify: impl Fn(&mut Worker, Option<ClientResponse>) -> Leg<V> + Sync,
+    ) -> Vec<(Leg<V>, WorkerState)> {
+        // Scoped leg threads do not see the request thread's trace, so
+        // its context is copied in: each leg stamps it on its request and
+        // times itself as a plain span record, folded in at the join.
+        let ctx = trace::current_context();
+        let (body, classify) = (&body, &classify);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..)
+                .zip(&self.workers)
+                .map(|(shard, worker)| {
                     scope.spawn(move || {
                         let mut w = worker.lock_or_recover();
                         let leg_uid = trace::mint_span_uid();
                         let start_us = trace::wall_now_us();
                         let started = Instant::now();
                         let breaker = w.breaker.state().label();
-                        if w.state() != WorkerState::Up {
-                            let spans = leg_ctx.map_or_else(Vec::new, |ctx| {
-                                vec![ctx.leg_span(
-                                    leg_uid,
-                                    "router.leg.ingest",
-                                    start_us,
-                                    started,
-                                    vec![
-                                        ("shard".into(), w.shard_id.to_string()),
-                                        ("breaker".into(), breaker.into()),
-                                        ("outcome".into(), "skipped".into()),
-                                    ],
-                                )]
-                            });
-                            return (w.shard_id, w.state(), false, false, spans);
-                        }
-                        let body = units_to_body(&sub_batch);
-                        let headers = leg_ctx
-                            .map(|ctx| ctx.headers(leg_uid).to_vec())
-                            .unwrap_or_default();
-                        let response = w.client.request_with(
-                            "POST",
-                            target,
-                            &headers,
-                            Some(&body),
-                            None,
+                        let (outcome, mut spans) = w.send_leg(
+                            leg,
+                            ctx.map(|(trace_id, _)| (trace_id, leg_uid)),
+                            || body(shard),
+                            classify,
                         );
-                        let (ok, applied) = match &response {
-                            Some(resp) if resp.status == 200 || resp.status == 202 => {
-                                match batch_fully_accepted(&resp.body, n) {
-                                    Some(applied) => {
-                                        w.record_success();
-                                        (true, applied)
-                                    }
-                                    None => {
-                                        w.record_failure();
-                                        (false, false)
-                                    }
-                                }
+                        if let Some((trace_id, root_uid)) = ctx {
+                            let mut attrs = vec![
+                                ("shard".into(), w.shard_id.to_string()),
+                                ("breaker".into(), breaker.into()),
+                                ("outcome".into(), leg_outcome(&outcome).into()),
+                            ];
+                            if let Leg::Ok { epoch: Some(epoch), .. } = &outcome {
+                                attrs.push(("epoch".into(), epoch.to_string()));
                             }
-                            _ => {
-                                w.record_failure();
-                                (false, false)
-                            }
-                        };
-                        let spans = leg_ctx.map_or_else(Vec::new, |ctx| {
-                            let mut spans = ctx.worker_spans(response.as_ref());
-                            spans.push(ctx.leg_span(
-                                leg_uid,
-                                "router.leg.ingest",
+                            spans.push(SpanRecord {
+                                trace_id,
+                                uid: leg_uid,
+                                parent: Some(root_uid),
+                                name: leg.span.to_string(),
                                 start_us,
-                                started,
-                                vec![
-                                    ("shard".into(), w.shard_id.to_string()),
-                                    ("breaker".into(), breaker.into()),
-                                    (
-                                        "outcome".into(),
-                                        if ok { "ok" } else { "failed" }.into(),
-                                    ),
-                                ],
-                            ));
-                            spans
-                        });
-                        (w.shard_id, w.state(), ok, applied, spans)
+                                dur_us: u64::try_from(started.elapsed().as_micros())
+                                    .unwrap_or(u64::MAX),
+                                attrs,
+                            });
+                        }
+                        (outcome, w.state(), spans)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .enumerate()
-                .map(|(shard_id, h)| match h.join() {
-                    Ok(send) => send,
+                .zip(0u32..)
+                .map(|(handle, shard_id)| match handle.join() {
+                    Ok((outcome, state, spans)) => {
+                        // Back on the request thread: fold the leg's spans
+                        // (its own timing plus the worker spans it brought
+                        // home) into the trace.
+                        for span in spans {
+                            trace::record_span(span);
+                        }
+                        (outcome, state)
+                    }
                     Err(_) => {
-                        log_warn("shard send thread panicked");
-                        (shard_id as u32, WorkerState::Down, false, false, Vec::new())
+                        log_warn("shard fan-out thread panicked");
+                        (Leg::Failed(shard_id), WorkerState::Down)
                     }
                 })
                 .collect()
-        });
-        drop(ingest);
-        // Back on the request thread: fold every leg's spans (its own
-        // timing plus the worker spans it brought home) into the trace.
-        for (_, _, _, _, spans) in &sends {
-            for span in spans {
-                trace::record_span(span.clone());
+        })
+    }
+
+    /// Fans one query out to every live worker and answers with the
+    /// merged body. `/v1/rules` and `/v1/items` differ only in `decode`,
+    /// `merge` (payloads to the merged, rendered array) and `key` (the
+    /// array's name in the body).
+    fn query<T: Send>(
+        &self,
+        req: &http::Request,
+        span: &'static str,
+        target: &str,
+        key: &'static str,
+        decode: Decode<T>,
+        merge: impl FnOnce(Vec<T>) -> Vec<Json>,
+    ) -> Response {
+        // The request's deadline budget: the router's configured bound,
+        // shrunk by the client's own deadline when one is propagated in.
+        let budget = req
+            .header("x-car-deadline-ms")
+            .and_then(|v| v.parse::<u64>().ok())
+            .map(Duration::from_millis)
+            .map_or(self.config.request_budget, |d| d.min(self.config.request_budget));
+        let deadline = Instant::now() + budget;
+        let legs = self.fan_out(
+            &LegRequest { span, method: "GET", target, deadline: Some(deadline) },
+            |_| None,
+            |w, response| classify_query(w, response, deadline, key, decode),
+        );
+
+        let (mut units_retained, mut window) = (0, 0);
+        let mut payloads = Vec::new();
+        let mut epochs = Vec::new();
+        let mut degraded = Vec::new();
+        let mut warming = false;
+        let mut timed_out = false;
+        for (leg, _) in legs {
+            match leg {
+                Leg::Ok { view: (retained, win, payload), epoch } => {
+                    units_retained = units_retained.max(retained);
+                    window = window.max(win);
+                    epochs.extend(epoch);
+                    payloads.push(payload);
+                }
+                Leg::Skipped(id) | Leg::Failed(id) => degraded.push(id),
+                Leg::TimedOut(id) => {
+                    timed_out = true;
+                    degraded.push(id);
+                }
+                Leg::Warming => warming = true,
+                // A worker rejected the parameters; every worker shares
+                // the configuration, so forward its answer as ours.
+                Leg::BadRequest(resp) => return resp,
             }
         }
-
-        let applied = wait
-            && sends.iter().any(|(_, _, ok, _, _)| *ok)
-            && sends.iter().all(|(_, _, ok, applied, _)| !ok || *applied);
-        RouteOutcome {
-            applied,
-            units_routed,
-            shards: sends.iter().map(|(id, s, ok, _, _)| (*id, *s, *ok)).collect(),
+        degraded.sort_unstable();
+        if warming {
+            return degrade(
+                Response::error(409, "the window holds fewer units than l_max"),
+                &degraded,
+            );
         }
+        if payloads.is_empty() {
+            if timed_out {
+                return degrade(Response::error(504, "deadline_exceeded"), &degraded);
+            }
+            return degrade(Response::error(503, "no live shard workers"), &degraded);
+        }
+
+        // Ingest is applied asynchronously per worker, so legs can answer
+        // at different epochs; surfacing the spread lets clients detect a
+        // merged view that matches no single-node snapshot (epoch_min !=
+        // epoch_max) and re-query if they need agreement.
+        let epoch_json = |e: Option<&u64>| e.map_or(Json::Null, |&e| Json::from(e));
+        let rendered = merge(payloads);
+        let body = object([
+            ("units_retained", Json::from(units_retained)),
+            ("window", Json::from(window)),
+            ("epoch_min", epoch_json(epochs.iter().min())),
+            ("epoch_max", epoch_json(epochs.iter().max())),
+            ("count", Json::from(rendered.len())),
+            ("partial", Json::from(!degraded.is_empty())),
+            (
+                "degraded",
+                Json::Array(
+                    degraded.iter().map(|&id| Json::from(u64::from(id))).collect(),
+                ),
+            ),
+            (key, Json::Array(rendered)),
+        ]);
+        degrade(Response::json(200, &body), &degraded)
     }
 
     /// Attempts to re-admit worker `i`: waits out the breaker cooldown,
@@ -681,13 +743,8 @@ impl RouterState {
                 })
                 .collect();
             let body = units_to_body(&sub_units);
-            let ok = match w.client.request("POST", "/v1/units?wait=true", Some(&body)) {
-                Some(resp) if resp.status == 200 || resp.status == 202 => {
-                    batch_fully_accepted(&resp.body, sub_units.len()).is_some()
-                }
-                _ => false,
-            };
-            if !ok {
+            let resp = w.client.request("POST", "/v1/units?wait=true", Some(&body));
+            if batch_fully_accepted(resp, sub_units.len()).is_none() {
                 // Still flaky; reopen and restart the cooldown.
                 w.record_failure();
                 return;
@@ -708,10 +765,7 @@ impl RouterState {
     /// ones.
     fn probe_once(&self) {
         for (i, worker) in self.workers.iter().enumerate() {
-            let state = {
-                let w = worker.lock_or_recover();
-                w.state()
-            };
+            let state = worker.lock_or_recover().state();
             match state {
                 WorkerState::Up => {
                     let mut w = worker.lock_or_recover();
@@ -732,11 +786,13 @@ impl RouterState {
     }
 }
 
-/// Parses a worker's batch-ingest response and confirms every unit was
-/// accepted; returns the response's `applied` flag, or `None` when the
-/// worker rejected any unit (it must then be caught up via replay).
-fn batch_fully_accepted(body: &[u8], expected: usize) -> Option<bool> {
-    let text = std::str::from_utf8(body).ok()?;
+/// Parses a worker's batch-ingest answer and confirms every unit was
+/// accepted; returns the answer's `applied` flag, or `None` when there
+/// was no `2xx` answer or the worker rejected any unit (it must then be
+/// caught up via replay).
+fn batch_fully_accepted(resp: Option<ClientResponse>, expected: usize) -> Option<bool> {
+    let resp = resp.filter(|resp| resp.status == 200 || resp.status == 202)?;
+    let text = std::str::from_utf8(&resp.body).ok()?;
     let doc = Json::parse(text).ok()?;
     let accepted = doc.get("accepted").and_then(Json::as_u64)?;
     if accepted != expected as u64 {
@@ -745,28 +801,87 @@ fn batch_fully_accepted(body: &[u8], expected: usize) -> Option<bool> {
     Some(doc.get("applied").and_then(Json::as_bool).unwrap_or(false))
 }
 
+/// Classifies an ingest leg's answer: `Ok` carries the worker's
+/// `applied` flag. A rejected unit or any other answer is breaker
+/// evidence; replay catches the worker up on re-admission.
+fn classify_ingest(
+    w: &mut Worker,
+    response: Option<ClientResponse>,
+    expected: usize,
+) -> Leg<bool> {
+    match batch_fully_accepted(response, expected) {
+        Some(applied) => {
+            w.record_success();
+            Leg::Ok { view: applied, epoch: None }
+        }
+        None => {
+            w.record_failure();
+            Leg::Failed(w.shard_id)
+        }
+    }
+}
+
+/// Classifies a query leg's answer; `/v1/rules` and `/v1/items` share
+/// it. Only a sick worker feeds the breaker: warming, a rejected
+/// parameter and an exhausted deadline do not.
+fn classify_query<T>(
+    w: &mut Worker,
+    response: Option<ClientResponse>,
+    deadline: Instant,
+    key: &str,
+    decode: Decode<T>,
+) -> Leg<(u64, u64, T)> {
+    match response {
+        Some(resp) if resp.status == 200 => match decode(&resp.body_text()) {
+            Ok(view) => {
+                w.record_success();
+                let epoch =
+                    resp.header("x-car-epoch").and_then(|v| v.parse::<u64>().ok());
+                Leg::Ok { view, epoch }
+            }
+            Err(msg) => {
+                SHARD.add_fanout_failures(1);
+                car_obs::warn!(
+                    "shard",
+                    [shard = w.shard_id],
+                    "unparsable {key} body: {msg}"
+                );
+                Leg::Failed(w.shard_id)
+            }
+        },
+        Some(resp) if resp.status == 409 => Leg::Warming,
+        // The worker's body is already a JSON error document; forward it
+        // untouched rather than re-wrapping (double-encoding) it.
+        Some(resp) if resp.status == 400 => {
+            Leg::BadRequest(Response::json_bytes(400, resp.body))
+        }
+        Some(resp) if resp.status == 504 => timed_out(w),
+        Some(_) => failed(w),
+        // No answer before the deadline: the attempt was cut short by the
+        // budget, not necessarily by a sick worker.
+        None if Instant::now() >= deadline => timed_out(w),
+        None => failed(w),
+    }
+}
+
+/// A query leg lost to the deadline budget: counted, but not breaker
+/// evidence.
+fn timed_out<V>(w: &Worker) -> Leg<V> {
+    SHARD.add_fanout_failures(1);
+    SHARD.add_deadline_exceeded();
+    Leg::TimedOut(w.shard_id)
+}
+
+/// A query leg lost to a failing worker: counted and fed to the breaker.
+fn failed<V>(w: &mut Worker) -> Leg<V> {
+    SHARD.add_fanout_failures(1);
+    w.record_failure();
+    Leg::Failed(w.shard_id)
+}
+
 // ---------------------------------------------------------------------------
 // Request handlers
 // ---------------------------------------------------------------------------
-
-/// Dispatches one router request.
-pub fn handle(state: &Arc<RouterState>, req: &http::Request) -> (Route, Response) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/v1/units") => (Route::IngestUnits, ingest(state, req)),
-        ("GET", "/v1/rules") => (Route::Rules, rules(state, req)),
-        ("GET", "/v1/items") => (Route::Items, items(state, req)),
-        ("GET", "/v1/health") => (Route::Health, health(state)),
-        ("GET", "/metrics") => (Route::Metrics, metrics(state)),
-        ("POST", "/v1/shutdown") => (Route::Shutdown, shutdown(state)),
-        ("GET", "/v1/debug/traces") => (Route::DebugTraces, debug_traces(state, req)),
-        (
-            _,
-            "/v1/units" | "/v1/rules" | "/v1/items" | "/v1/health" | "/metrics"
-            | "/v1/shutdown" | "/v1/debug/traces",
-        ) => (Route::Other, Response::error(405, "method not allowed")),
-        _ => (Route::Other, Response::error(404, "no such endpoint")),
-    }
-}
 
 /// Adds the degraded marker header and counts the partial response.
 fn degrade(resp: Response, degraded: &[u32]) -> Response {
@@ -777,11 +892,10 @@ fn degrade(resp: Response, degraded: &[u32]) -> Response {
     resp.with_header("X-Car-Shards-Degraded", degraded.len().to_string())
 }
 
-fn shard_state_json(shards: &[(u32, WorkerState)]) -> Json {
+fn shard_state_json(shards: impl Iterator<Item = (u32, WorkerState)>) -> Json {
     Json::Array(
         shards
-            .iter()
-            .map(|&(id, s)| {
+            .map(|(id, s)| {
                 object([
                     ("shard_id", Json::from(u64::from(id))),
                     ("state", Json::from(s.label())),
@@ -791,7 +905,7 @@ fn shard_state_json(shards: &[(u32, WorkerState)]) -> Json {
     )
 }
 
-fn ingest(state: &Arc<RouterState>, req: &http::Request) -> Response {
+fn ingest(state: &RouterState, req: &http::Request) -> Response {
     if state.is_shutting_down() {
         return Response::error(503, "router is shutting down");
     }
@@ -810,15 +924,26 @@ fn ingest(state: &Arc<RouterState>, req: &http::Request) -> Response {
     // and replaying the same units twice. With every worker down this is
     // a 202 with applied=false and partial=true; replay catches the
     // workers up on re-admission.
-    let outcome = state.route_units(units, wait);
-    let degraded = outcome.degraded();
-    let status = if wait && outcome.applied { 200 } else { 202 };
+    let (units_routed, legs) = state.route_units(units, wait);
+    // A leg's own outcome — not the worker's state — decides
+    // degradation, so the very first failed send is already a `partial`
+    // response even while the breaker is still counting failures toward
+    // its threshold.
+    let degraded: Vec<u32> = (0..)
+        .zip(&legs)
+        .filter(|(_, (leg, _))| !matches!(leg, Leg::Ok { .. }))
+        .map(|(id, _)| id)
+        .collect();
+    let applied = wait
+        && degraded.len() < legs.len()
+        && !legs.iter().any(|(leg, _)| matches!(leg, Leg::Ok { view: false, .. }));
+    let status = if applied { 200 } else { 202 };
     let body = object([
         ("accepted", Json::from(n)),
-        ("applied", Json::from(outcome.applied)),
+        ("applied", Json::from(applied)),
         ("partial", Json::from(!degraded.is_empty())),
-        ("units_routed", Json::from(outcome.units_routed)),
-        ("shards", shard_state_json(&outcome.states())),
+        ("units_routed", Json::from(units_routed)),
+        ("shards", shard_state_json((0..).zip(legs.iter().map(|(_, state)| *state)))),
     ]);
     degrade(Response::json(status, &body), &degraded)
 }
@@ -853,472 +978,48 @@ fn worker_rules_target(
     target
 }
 
-fn parse_u32_param(req: &http::Request, name: &str) -> Result<Option<u32>, Response> {
-    match req.query_param(name) {
-        None => Ok(None),
-        Some(raw) => raw.parse::<u32>().map(Some).map_err(|_| {
-            Response::error(400, &format!("invalid {name} `{raw}` (need a u32)"))
-        }),
-    }
-}
-
-fn rules(state: &Arc<RouterState>, req: &http::Request) -> Response {
-    let length = match parse_u32_param(req, "length") {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let offset = match parse_u32_param(req, "offset") {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    // Validated here so only a parsed value ever reaches the worker
-    // request line; the stricter threshold check (against the worker's
-    // mining configuration) still happens worker-side and surfaces as a
+fn rules(state: &RouterState, req: &http::Request) -> Response {
+    // Validated here so only parsed values ever reach the worker request
+    // line; the stricter threshold check (against the worker's mining
+    // configuration) still happens worker-side and surfaces as a
     // forwarded 400.
-    let min_confidence = match req.query_param("min_confidence") {
-        None => None,
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(q) if (0.0..=1.0).contains(&q) => Some(q),
-            _ => {
-                return Response::error(
-                    400,
-                    &format!("invalid min_confidence `{raw}` (need 0..=1)"),
-                )
-            }
+    let (length, offset, min_confidence) =
+        match car_serve::routes::parse_rules_params(req) {
+            Ok(params) => params,
+            Err(resp) => return resp,
+        };
+    let target = worker_rules_target(length, offset, min_confidence.map(|q| q.value()));
+    state.query(
+        req,
+        "router.leg.rules",
+        &target,
+        "rules",
+        |text| parse_rules_body(text).map(|v| (v.units_retained, v.window, v.rules)),
+        |views| {
+            merge_rule_views(views)
+                .iter()
+                .filter_map(|r| rule_to_json(r, length, offset))
+                .collect()
         },
-    };
-    let target = worker_rules_target(length, offset, min_confidence);
-    // The request's deadline budget: the router's configured bound,
-    // shrunk by the client's own deadline when one is propagated in.
-    let budget = req
-        .header("x-car-deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .map_or(state.config.request_budget, |d| d.min(state.config.request_budget));
-    let deadline = Instant::now() + budget;
-
-    let leg_ctx = LegTraceContext::capture();
-    let legs: Vec<Leg> = std::thread::scope(|scope| {
-        let handles: Vec<_> = state
-            .workers
-            .iter()
-            .map(|worker| {
-                let target = target.as_str();
-                scope.spawn(move || {
-                    let mut w = worker.lock_or_recover();
-                    let leg_uid = trace::mint_span_uid();
-                    let start_us = trace::wall_now_us();
-                    let started = Instant::now();
-                    let breaker = w.breaker.state().label();
-                    let mut worker_spans = Vec::new();
-                    let mut epoch_attr = None;
-                    let leg = (|w: &mut Worker| {
-                        if w.state() != WorkerState::Up {
-                            return Leg::Skipped(w.shard_id);
-                        }
-                        let remaining =
-                            deadline.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            SHARD.add_fanout_failures(1);
-                            SHARD.add_deadline_exceeded();
-                            return Leg::TimedOut(w.shard_id);
-                        }
-                        // Forward the remaining budget so the worker can
-                        // abort escalated re-detection instead of pinning
-                        // the merge past the deadline — and the trace
-                        // context, so the worker's spans nest under this
-                        // leg.
-                        let mut headers = vec![(
-                            "X-Car-Deadline-Ms",
-                            u64::try_from(remaining.as_millis())
-                                .unwrap_or(u64::MAX)
-                                .to_string(),
-                        )];
-                        if let Some(ctx) = leg_ctx {
-                            headers.extend(ctx.headers(leg_uid));
-                        }
-                        SHARD.add_fanout_legs(1);
-                        let response = w.client.request_with(
-                            "GET",
-                            target,
-                            &headers,
-                            None,
-                            Some(deadline),
-                        );
-                        if let Some(ctx) = leg_ctx {
-                            worker_spans = ctx.worker_spans(response.as_ref());
-                        }
-                        match response {
-                            Some(resp) if resp.status == 200 => {
-                                match crate::merge::parse_rules_body(&resp.body_text()) {
-                                    Ok(view) => {
-                                        w.record_success();
-                                        let epoch = resp
-                                            .header("x-car-epoch")
-                                            .and_then(|v| v.parse::<u64>().ok());
-                                        epoch_attr = epoch;
-                                        Leg::Ok { view, epoch }
-                                    }
-                                    Err(msg) => {
-                                        SHARD.add_fanout_failures(1);
-                                        car_obs::warn!(
-                                            "shard",
-                                            [shard = w.shard_id],
-                                            "unparsable rules body: {msg}"
-                                        );
-                                        Leg::Failed(w.shard_id)
-                                    }
-                                }
-                            }
-                            Some(resp) if resp.status == 409 => Leg::Warming,
-                            Some(resp) if resp.status == 400 => {
-                                // The worker's body is already a JSON error
-                                // document; forward it untouched rather than
-                                // re-wrapping (double-encoding) it.
-                                Leg::BadRequest(Response::json_bytes(400, resp.body))
-                            }
-                            Some(resp) if resp.status == 504 => {
-                                SHARD.add_fanout_failures(1);
-                                SHARD.add_deadline_exceeded();
-                                Leg::TimedOut(w.shard_id)
-                            }
-                            Some(_) => {
-                                SHARD.add_fanout_failures(1);
-                                w.record_failure();
-                                Leg::Failed(w.shard_id)
-                            }
-                            None => {
-                                SHARD.add_fanout_failures(1);
-                                if Instant::now() >= deadline {
-                                    // The attempt was cut short by the budget,
-                                    // not necessarily by a sick worker.
-                                    SHARD.add_deadline_exceeded();
-                                    Leg::TimedOut(w.shard_id)
-                                } else {
-                                    w.record_failure();
-                                    Leg::Failed(w.shard_id)
-                                }
-                            }
-                        }
-                    })(&mut w);
-                    let spans = leg_ctx.map_or_else(Vec::new, |ctx| {
-                        let mut attrs = vec![
-                            ("shard".into(), w.shard_id.to_string()),
-                            ("breaker".into(), breaker.to_string()),
-                            ("outcome".into(), leg_outcome(&leg).into()),
-                        ];
-                        if let Some(epoch) = epoch_attr {
-                            attrs.push(("epoch".into(), epoch.to_string()));
-                        }
-                        let mut spans = std::mem::take(&mut worker_spans);
-                        spans.push(ctx.leg_span(
-                            leg_uid,
-                            "router.leg.rules",
-                            start_us,
-                            started,
-                            attrs,
-                        ));
-                        spans
-                    });
-                    (leg, spans)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(shard_id, h)| match h.join() {
-                Ok((leg, spans)) => {
-                    for span in spans {
-                        trace::record_span(span);
-                    }
-                    leg
-                }
-                Err(_) => {
-                    log_warn("shard fan-out thread panicked");
-                    Leg::Failed(shard_id as u32)
-                }
-            })
-            .collect()
-    });
-
-    let mut views = Vec::new();
-    let mut epochs = Vec::new();
-    let mut degraded = Vec::new();
-    let mut warming = false;
-    let mut timed_out = false;
-    for leg in legs {
-        match leg {
-            Leg::Ok { view, epoch } => {
-                epochs.extend(epoch);
-                views.push(view);
-            }
-            Leg::Skipped(id) | Leg::Failed(id) => degraded.push(id),
-            Leg::TimedOut(id) => {
-                timed_out = true;
-                degraded.push(id);
-            }
-            Leg::Warming => warming = true,
-            // A worker rejected the parameters; every worker shares the
-            // configuration, so forward its answer as ours.
-            Leg::BadRequest(resp) => return resp,
-        }
-    }
-    degraded.sort_unstable();
-    if warming {
-        return degrade(
-            Response::error(409, "the window holds fewer units than l_max"),
-            &degraded,
-        );
-    }
-    if views.is_empty() {
-        if timed_out {
-            return degrade(Response::error(504, "deadline_exceeded"), &degraded);
-        }
-        return degrade(Response::error(503, "no live shard workers"), &degraded);
-    }
-
-    let units_retained = views.iter().map(|v| v.units_retained).max().unwrap_or(0);
-    let window = views.iter().map(|v| v.window).max().unwrap_or(0);
-    // Ingest is applied asynchronously per worker, so legs can answer
-    // at different epochs; surfacing the spread lets clients detect a
-    // merged view that matches no single-node snapshot (epoch_min !=
-    // epoch_max) and re-query if they need agreement.
-    let epoch_json = |e: Option<&u64>| e.map_or(Json::Null, |&e| Json::from(e));
-    let merged = crate::merge::merge_rule_views(views.into_iter().map(|v| v.rules));
-    let rendered: Vec<Json> = merged
-        .iter()
-        .filter_map(|r| car_serve::routes::rule_to_json(r, length, offset))
-        .collect();
-    let body = object([
-        ("units_retained", Json::from(units_retained)),
-        ("window", Json::from(window)),
-        ("epoch_min", epoch_json(epochs.iter().min())),
-        ("epoch_max", epoch_json(epochs.iter().max())),
-        ("count", Json::from(rendered.len())),
-        ("partial", Json::from(!degraded.is_empty())),
-        (
-            "degraded",
-            Json::Array(degraded.iter().map(|&id| Json::from(u64::from(id))).collect()),
-        ),
-        ("rules", Json::Array(rendered)),
-    ]);
-    degrade(Response::json(200, &body), &degraded)
-}
-
-/// One `/v1/items` fan-out leg's disposition. Unlike rules legs there
-/// is no warming or bad-request case: workers answer item supports at
-/// any window occupancy and the route takes no parameters.
-enum ItemsLeg {
-    Ok { view: crate::merge::ItemsView, epoch: Option<u64> },
-    Skipped(u32),
-    Failed(u32),
-    TimedOut(u32),
-}
-
-fn items_leg_outcome(leg: &ItemsLeg) -> &'static str {
-    match leg {
-        ItemsLeg::Ok { .. } => "ok",
-        ItemsLeg::Skipped(_) => "skipped",
-        ItemsLeg::Failed(_) => "failed",
-        ItemsLeg::TimedOut(_) => "timed_out",
-    }
+    )
 }
 
 /// Fans `GET /v1/items` out to all live workers and merges the
 /// per-item support totals with a plain sum — each transaction is
 /// owned by exactly one shard, so no support is counted twice. Down
 /// or deadline-blown shards are excluded and surface as `partial`.
-fn items(state: &Arc<RouterState>, req: &http::Request) -> Response {
-    let budget = req
-        .header("x-car-deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .map_or(state.config.request_budget, |d| d.min(state.config.request_budget));
-    let deadline = Instant::now() + budget;
-
-    let leg_ctx = LegTraceContext::capture();
-    let legs: Vec<ItemsLeg> = std::thread::scope(|scope| {
-        let handles: Vec<_> = state
-            .workers
-            .iter()
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut w = worker.lock_or_recover();
-                    let leg_uid = trace::mint_span_uid();
-                    let start_us = trace::wall_now_us();
-                    let started = Instant::now();
-                    let breaker = w.breaker.state().label();
-                    let mut worker_spans = Vec::new();
-                    let mut epoch_attr = None;
-                    let leg = (|w: &mut Worker| {
-                        if w.state() != WorkerState::Up {
-                            return ItemsLeg::Skipped(w.shard_id);
-                        }
-                        let remaining =
-                            deadline.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            SHARD.add_fanout_failures(1);
-                            SHARD.add_deadline_exceeded();
-                            return ItemsLeg::TimedOut(w.shard_id);
-                        }
-                        let mut headers = vec![(
-                            "X-Car-Deadline-Ms",
-                            u64::try_from(remaining.as_millis())
-                                .unwrap_or(u64::MAX)
-                                .to_string(),
-                        )];
-                        if let Some(ctx) = leg_ctx {
-                            headers.extend(ctx.headers(leg_uid));
-                        }
-                        SHARD.add_fanout_legs(1);
-                        let response = w.client.request_with(
-                            "GET",
-                            "/v1/items",
-                            &headers,
-                            None,
-                            Some(deadline),
-                        );
-                        if let Some(ctx) = leg_ctx {
-                            worker_spans = ctx.worker_spans(response.as_ref());
-                        }
-                        match response {
-                            Some(resp) if resp.status == 200 => {
-                                match crate::merge::parse_items_body(&resp.body_text()) {
-                                    Ok(view) => {
-                                        w.record_success();
-                                        let epoch = resp
-                                            .header("x-car-epoch")
-                                            .and_then(|v| v.parse::<u64>().ok());
-                                        epoch_attr = epoch;
-                                        ItemsLeg::Ok { view, epoch }
-                                    }
-                                    Err(msg) => {
-                                        SHARD.add_fanout_failures(1);
-                                        car_obs::warn!(
-                                            "shard",
-                                            [shard = w.shard_id],
-                                            "unparsable items body: {msg}"
-                                        );
-                                        ItemsLeg::Failed(w.shard_id)
-                                    }
-                                }
-                            }
-                            Some(resp) if resp.status == 504 => {
-                                SHARD.add_fanout_failures(1);
-                                SHARD.add_deadline_exceeded();
-                                ItemsLeg::TimedOut(w.shard_id)
-                            }
-                            Some(_) => {
-                                SHARD.add_fanout_failures(1);
-                                w.record_failure();
-                                ItemsLeg::Failed(w.shard_id)
-                            }
-                            None => {
-                                SHARD.add_fanout_failures(1);
-                                if Instant::now() >= deadline {
-                                    SHARD.add_deadline_exceeded();
-                                    ItemsLeg::TimedOut(w.shard_id)
-                                } else {
-                                    w.record_failure();
-                                    ItemsLeg::Failed(w.shard_id)
-                                }
-                            }
-                        }
-                    })(&mut w);
-                    let spans = leg_ctx.map_or_else(Vec::new, |ctx| {
-                        let mut attrs = vec![
-                            ("shard".into(), w.shard_id.to_string()),
-                            ("breaker".into(), breaker.to_string()),
-                            ("outcome".into(), items_leg_outcome(&leg).into()),
-                        ];
-                        if let Some(epoch) = epoch_attr {
-                            attrs.push(("epoch".into(), epoch.to_string()));
-                        }
-                        let mut spans = std::mem::take(&mut worker_spans);
-                        spans.push(ctx.leg_span(
-                            leg_uid,
-                            "router.leg.items",
-                            start_us,
-                            started,
-                            attrs,
-                        ));
-                        spans
-                    });
-                    (leg, spans)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(shard_id, h)| match h.join() {
-                Ok((leg, spans)) => {
-                    for span in spans {
-                        trace::record_span(span);
-                    }
-                    leg
-                }
-                Err(_) => {
-                    log_warn("shard fan-out thread panicked");
-                    ItemsLeg::Failed(shard_id as u32)
-                }
-            })
-            .collect()
-    });
-
-    let mut views = Vec::new();
-    let mut epochs = Vec::new();
-    let mut degraded = Vec::new();
-    let mut timed_out = false;
-    for leg in legs {
-        match leg {
-            ItemsLeg::Ok { view, epoch } => {
-                epochs.extend(epoch);
-                views.push(view);
-            }
-            ItemsLeg::Skipped(id) | ItemsLeg::Failed(id) => degraded.push(id),
-            ItemsLeg::TimedOut(id) => {
-                timed_out = true;
-                degraded.push(id);
-            }
-        }
-    }
-    degraded.sort_unstable();
-    if views.is_empty() {
-        if timed_out {
-            return degrade(Response::error(504, "deadline_exceeded"), &degraded);
-        }
-        return degrade(Response::error(503, "no live shard workers"), &degraded);
-    }
-
-    let units_retained = views.iter().map(|v| v.units_retained).max().unwrap_or(0);
-    let window = views.iter().map(|v| v.window).max().unwrap_or(0);
-    let epoch_json = |e: Option<&u64>| e.map_or(Json::Null, |&e| Json::from(e));
-    let merged = crate::merge::merge_item_supports(views.into_iter().map(|v| v.items));
-    let rendered: Vec<Json> = merged
-        .iter()
-        .map(|(id, support)| {
-            object([("id", Json::from(*id)), ("support", Json::from(*support))])
-        })
-        .collect();
-    let body = object([
-        ("units_retained", Json::from(units_retained)),
-        ("window", Json::from(window)),
-        ("epoch_min", epoch_json(epochs.iter().min())),
-        ("epoch_max", epoch_json(epochs.iter().max())),
-        ("count", Json::from(rendered.len())),
-        ("partial", Json::from(!degraded.is_empty())),
-        (
-            "degraded",
-            Json::Array(degraded.iter().map(|&id| Json::from(u64::from(id))).collect()),
-        ),
-        ("items", Json::Array(rendered)),
-    ]);
-    degrade(Response::json(200, &body), &degraded)
+fn items(state: &RouterState, req: &http::Request) -> Response {
+    state.query(
+        req,
+        "router.leg.items",
+        "/v1/items",
+        "items",
+        |text| parse_items_body(text).map(|v| (v.units_retained, v.window, v.items)),
+        |views| merge_item_supports(views).into_iter().map(item_to_json).collect(),
+    )
 }
 
-fn health(state: &Arc<RouterState>) -> Response {
+fn health(state: &RouterState) -> Response {
     let snapshots = state.worker_snapshots();
     let shards: Vec<(u32, WorkerState)> =
         snapshots.iter().map(|s| (s.shard_id, s.state)).collect();
@@ -1353,13 +1054,13 @@ fn health(state: &Arc<RouterState>) -> Response {
             ("shard_count", Json::from(u64::from(state.ring.count()))),
             ("degraded_shards", Json::from(degraded)),
             ("units_routed", Json::from(units_routed)),
-            ("workers", shard_state_json(&shards)),
+            ("workers", shard_state_json(shards.iter().copied())),
             ("breakers", breakers),
         ]),
     )
 }
 
-fn metrics(state: &Arc<RouterState>) -> Response {
+fn metrics(state: &RouterState) -> Response {
     let snapshots = state.worker_snapshots();
     let shards: Vec<(u32, WorkerState)> =
         snapshots.iter().map(|s| (s.shard_id, s.state)).collect();
@@ -1393,18 +1094,18 @@ fn metrics(state: &Arc<RouterState>) -> Response {
          (0=closed, 1=half_open, 2=open, 3=stale).\n\
          # TYPE car_shard_breaker_state gauge\n",
     );
-    for snapshot in &snapshots {
-        text.push_str("car_shard_breaker_state{shard=\"");
-        text.push_str(&snapshot.shard_id.to_string());
-        text.push_str("\"} ");
-        text.push_str(&snapshot.gauge_value().to_string());
-        text.push('\n');
+    for s in &snapshots {
+        text.push_str(&format!(
+            "car_shard_breaker_state{{shard=\"{}\"}} {}\n",
+            s.shard_id,
+            s.gauge_value()
+        ));
     }
     let snap = SHARD.snapshot();
     for (name, help, value) in [
         (
             "car_shard_fanout_total",
-            "Rule-query legs fanned out to live shard workers.",
+            "Query legs (rules and items) fanned out to live shard workers.",
             snap.fanout_legs,
         ),
         (
@@ -1443,17 +1144,9 @@ fn metrics(state: &Arc<RouterState>) -> Response {
             snap.deadline_exceeded,
         ),
     ] {
-        text.push_str("# HELP ");
-        text.push_str(name);
-        text.push(' ');
-        text.push_str(help);
-        text.push_str("\n# TYPE ");
-        text.push_str(name);
-        text.push_str(" counter\n");
-        text.push_str(name);
-        text.push(' ');
-        text.push_str(&value.to_string());
-        text.push('\n');
+        text.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+        ));
     }
     // Trace tail-retention counters (car_trace_retained_total and
     // friends) come in via render_prometheus above — the router and
@@ -1465,7 +1158,7 @@ fn metrics(state: &Arc<RouterState>) -> Response {
 /// `GET /v1/debug/traces`: retained-trace summaries, or — with
 /// `?trace_id=HEX` — one assembled tree, as span JSON or (with
 /// `&format=chrome`) Chrome `trace_event` JSON.
-fn debug_traces(state: &Arc<RouterState>, req: &http::Request) -> Response {
+fn debug_traces(state: &RouterState, req: &http::Request) -> Response {
     let Some(raw) = req.query_param("trace_id") else {
         let traces: Vec<Json> = state
             .traces
@@ -1518,9 +1211,56 @@ fn debug_traces(state: &Arc<RouterState>, req: &http::Request) -> Response {
     )
 }
 
-fn shutdown(state: &Arc<RouterState>) -> Response {
+fn shutdown(state: &RouterState) -> Response {
     state.begin_shutdown();
     Response::json(200, &object([("status", Json::from("shutting_down"))])).with_close()
+}
+
+/// The router's request-handling step for car-serve's connection loop:
+/// route dispatch, then the finished trace — router legs plus the worker
+/// spans they brought back — is assembled and offered for tail
+/// retention. Errored traces are always kept.
+impl Service for RouterState {
+    const LOG_TARGET: &'static str = "shard";
+    const ROOT_SPAN: &'static str = "router.request";
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    fn handle(&self, req: &http::Request) -> (Route, Response) {
+        match (req.method.as_str(), req.path.as_str()) {
+            ("POST", "/v1/units") => (Route::IngestUnits, ingest(self, req)),
+            ("GET", "/v1/rules") => (Route::Rules, rules(self, req)),
+            ("GET", "/v1/items") => (Route::Items, items(self, req)),
+            ("GET", "/v1/health") => (Route::Health, health(self)),
+            ("GET", "/metrics") => (Route::Metrics, metrics(self)),
+            ("POST", "/v1/shutdown") => (Route::Shutdown, shutdown(self)),
+            ("GET", "/v1/debug/traces") => (Route::DebugTraces, debug_traces(self, req)),
+            (
+                _,
+                "/v1/units" | "/v1/rules" | "/v1/items" | "/v1/health" | "/metrics"
+                | "/v1/shutdown" | "/v1/debug/traces",
+            ) => (Route::Other, Response::error(405, "method not allowed")),
+            _ => (Route::Other, Response::error(404, "no such endpoint")),
+        }
+    }
+
+    fn finish_trace(&self, finished: FinishedTrace, response: Response) -> Response {
+        let errored = response.status >= 500;
+        let trace_id = finished.trace_id;
+        self.traces
+            .offer(trace::assemble(trace_id, finished.root_uid, finished.spans), errored);
+        response.with_header(trace::TRACE_ID_HEADER, trace_id.to_hex())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1645,19 +1385,23 @@ pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
         config,
     });
 
-    let addrs: Vec<SocketAddr> =
-        state.config.addr.to_socket_addrs().map_err(RouterError::Io)?.collect();
-    let listener = TcpListener::bind(&addrs[..]).map_err(RouterError::Io)?;
-    listener.set_nonblocking(true).map_err(RouterError::Io)?;
-    let addr = listener.local_addr().map_err(RouterError::Io)?;
-
-    let pool = car_serve::pool::ThreadPool::new(state.config.threads, "car-shard-worker")
-        .map_err(RouterError::Io)?;
-    let accept_state = Arc::clone(&state);
-    let accept_thread = std::thread::Builder::new()
-        .name("car-shard-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_state, pool))
-        .map_err(RouterError::Io)?;
+    // The public edge gets the worker's guards at car-serve's defaults.
+    let (addr, accept_thread) = Listen {
+        name: "car-shard",
+        threads: state.config.threads,
+        io_timeout: state.config.io_timeout,
+        limits: RequestLimits {
+            max_body_bytes: state.config.max_body_bytes,
+            header_timeout: Some(Duration::from_millis(
+                car_serve::DEFAULT_HEADER_TIMEOUT_MS,
+            )),
+            ..RequestLimits::default()
+        },
+        max_inflight: car_serve::DEFAULT_MAX_INFLIGHT,
+        handle_signals: false,
+    }
+    .spawn(&state.config.addr, Arc::clone(&state))
+    .map_err(RouterError::Io)?;
 
     let prober_state = Arc::clone(&state);
     let prober_thread = std::thread::Builder::new()
@@ -1683,35 +1427,12 @@ pub fn run_router(config: RouterConfig) -> Result<RouterHandle, RouterError> {
     })
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<RouterState>,
-    pool: car_serve::pool::ThreadPool,
-) {
-    loop {
-        if state.is_shutting_down() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let state = Arc::clone(state);
-                pool.execute(move || serve_connection(stream, &state));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    pool.join();
-}
-
-fn prober_loop(state: &Arc<RouterState>) {
+fn prober_loop(state: &RouterState) {
     while !state.is_shutting_down() {
         // Sleep in short slices so shutdown is prompt.
         let mut remaining = state.config.probe_interval;
         while !remaining.is_zero() && !state.is_shutting_down() {
-            let slice = remaining.min(ACCEPT_POLL);
+            let slice = remaining.min(PROBE_POLL);
             std::thread::sleep(slice);
             remaining = remaining.saturating_sub(slice);
         }
@@ -1719,88 +1440,6 @@ fn prober_loop(state: &Arc<RouterState>) {
             break;
         }
         state.probe_once();
-    }
-}
-
-/// Serves one router connection until close, error, limit, or shutdown.
-fn serve_connection(stream: TcpStream, state: &Arc<RouterState>) {
-    let io_timeout = state.config.io_timeout;
-    if stream.set_read_timeout(Some(io_timeout)).is_err()
-        || stream.set_write_timeout(Some(io_timeout)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
-
-    for _ in 0..MAX_REQUESTS_PER_CONNECTION {
-        let started = Instant::now();
-        let request = match http::read_request(&mut reader, state.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(http::ParseError::ConnectionClosed) => return,
-            Err(e) => {
-                state.metrics.record_parse_error();
-                let (status, _) = e.status();
-                // audit:allow(a4-discard) reason="best-effort courtesy reply on a connection that already failed parsing; the connection closes either way"
-                let _ = Response::error(status, &e.to_string())
-                    .with_close()
-                    .write_to(&mut writer);
-                if !matches!(e, http::ParseError::Timeout) {
-                    state.metrics.record_request(Route::Other, status, started.elapsed());
-                }
-                return;
-            }
-        };
-        let request_id = car_obs::next_request_id();
-        // Adopt an inbound trace context (a client propagating its own
-        // trace through the router) or mint a fresh one; malformed
-        // headers start a fresh trace, never an error.
-        let ctx = trace::TraceContext::from_headers(
-            request.header(trace::TRACE_ID_HEADER),
-            request.header(trace::PARENT_SPAN_HEADER),
-        );
-        let request_trace = trace::begin_request(ctx, "router.request");
-        let trace_hex =
-            request_trace.trace_id().map_or_else(String::new, |id| id.to_hex());
-        let (route, mut response) = handle(state, &request);
-        trace::annotate("route", route.label());
-        trace::annotate("status", &response.status.to_string());
-        // Finish before writing so the response can carry the trace id;
-        // assemble the tree (router legs + worker spans) and offer it
-        // for tail retention — errored traces are always kept.
-        if let Some(finished) = request_trace.finish() {
-            response =
-                response.with_header(trace::TRACE_ID_HEADER, finished.trace_id.to_hex());
-            let errored = response.status >= 500;
-            let assembled =
-                trace::assemble(finished.trace_id, finished.root_uid, finished.spans);
-            state.traces.offer(assembled, errored);
-        }
-        if request.wants_close() || state.is_shutting_down() {
-            response.close = true;
-        }
-        let close = response.close;
-        let write_result = response.write_to(&mut writer);
-        state.metrics.record_request(route, response.status, started.elapsed());
-        car_obs::debug!(
-            "shard",
-            [
-                id = request_id,
-                trace_id = trace_hex,
-                status = response.status,
-                us = started.elapsed().as_micros()
-            ],
-            "{} {}",
-            request.method,
-            request.path
-        );
-        if close || write_result.is_err() {
-            return;
-        }
     }
 }
 

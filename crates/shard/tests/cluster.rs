@@ -10,6 +10,8 @@
 //!   `X-Car-Shards-Degraded` header) without losing the other shards,
 //!   and is re-admitted with exact catch-up replay once it is back.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use car_core::MiningConfig;
@@ -590,6 +592,101 @@ fn traced_requests_assemble_cross_shard_trees() {
         )
         .unwrap();
     assert_eq!(resp.status, 404);
+
+    let resp = rc.request("POST", "/v1/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    router.wait();
+    for w in workers {
+        w.trigger_shutdown();
+        w.wait();
+    }
+}
+
+/// One unlabeled counter's value from the router's `/metrics`.
+fn scrape_counter(client: &mut Client, name: &str) -> u64 {
+    let text = client.request("GET", "/metrics", None).unwrap().body_text();
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from router /metrics"))
+}
+
+/// The router's public edge has the worker's admission gate: with the
+/// default in-flight limit held by idle connections, the next
+/// connection is shed with `503` + `Retry-After` and counted.
+#[test]
+fn router_sheds_connections_past_the_default_inflight_limit() {
+    let (workers, router) = spawn_cluster(1);
+    // An admitted keep-alive connection, kept for scrapes and shutdown.
+    let mut rc = Client::connect(&router.addr.to_string()).unwrap();
+    let shed_before = scrape_counter(&mut rc, "car_shed_total");
+    // Idle connections hold every remaining slot; connects complete in
+    // order, so all of them are admitted before the probe below.
+    let holders: Vec<TcpStream> = (1..car_serve::DEFAULT_MAX_INFLIGHT)
+        .map(|_| TcpStream::connect(router.addr).unwrap())
+        .collect();
+
+    let mut probe = TcpStream::connect(router.addr).unwrap();
+    probe.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    probe.write_all(b"GET /v1/health HTTP/1.1\r\n\r\n").unwrap();
+    let mut answer = String::new();
+    let _ = probe.read_to_string(&mut answer);
+    assert!(answer.starts_with("HTTP/1.1 503"), "expected a shed 503, got: {answer:?}");
+    assert!(answer.contains("retry-after: 1"), "{answer}");
+    assert!(scrape_counter(&mut rc, "car_shed_total") > shed_before);
+
+    drop(holders);
+    let resp = rc.request("POST", "/v1/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    router.wait();
+    for w in workers {
+        w.trigger_shutdown();
+        w.wait();
+    }
+}
+
+/// The router's public edge has the worker's slow-loris guard: a
+/// request head dribbled in one fragment at a time is cut off with
+/// `408` at the default header deadline, and counted.
+#[test]
+fn router_cuts_off_a_dribbled_request_head() {
+    let (workers, router) = spawn_cluster(1);
+    let mut rc = Client::connect(&router.addr.to_string()).unwrap();
+    let timeouts_before = scrape_counter(&mut rc, "car_header_timeouts_total");
+
+    let mut stream = TcpStream::connect(router.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_millis(250))).unwrap();
+    // A head that never ends: one byte per read timeout, the header
+    // value padded forever, never the blank line.
+    let head = b"GET /v1/health HTTP/1.1\r\nx-pad: ";
+    let started = Instant::now();
+    let mut answer = Vec::new();
+    let mut buf = [0u8; 1024];
+    let mut sent = 0;
+    while started.elapsed() < Duration::from_secs(9) {
+        let byte = head.get(sent).copied().unwrap_or(b'a');
+        if stream.write_all(&[byte]).is_err() {
+            break;
+        }
+        sent += 1;
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => {
+                answer.extend_from_slice(&buf[..n]);
+                break;
+            }
+            Err(_) => {} // nothing yet: keep dribbling
+        }
+    }
+    let cut_after = started.elapsed();
+    stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let _ = stream.read_to_end(&mut answer);
+    let answer = String::from_utf8_lossy(&answer);
+    assert!(
+        answer.starts_with("HTTP/1.1 408"),
+        "expected a 408 cut-off, got: {answer:?}"
+    );
+    assert!(cut_after < Duration::from_secs(9), "head was never cut off");
+    assert!(scrape_counter(&mut rc, "car_header_timeouts_total") > timeouts_before);
 
     let resp = rc.request("POST", "/v1/shutdown", None).unwrap();
     assert_eq!(resp.status, 200);

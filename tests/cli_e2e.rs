@@ -150,6 +150,37 @@ fn help_and_errors() {
     assert!(run(&["mine"]).unwrap_err().contains("--input"));
 }
 
+/// Runs `args` on a helper thread and fails the test, instead of
+/// hanging it, when the command does not return within a few seconds
+/// (a daemon that booted despite bad flags never returns).
+fn run_bounded(args: &'static [&'static str]) -> Result<String, String> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(run(args)));
+    rx.recv_timeout(std::time::Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("`car {}` did not return: it booted", args.join(" ")))
+}
+
+#[test]
+fn daemons_reject_unknown_options_and_print_help() {
+    // A typo must be a usage error, not a daemon on default settings.
+    for args in [
+        &["serve", "--port", "0", "--fsyn", "always", "--bogus", "3"][..],
+        &["shard", "--port", "0", "--shards", "2", "--bogus", "3"],
+        &["shard", "--port", "0", "--workers", "127.0.0.1:1", "--retries", "2"],
+    ] {
+        let err = run_bounded(args).unwrap_err();
+        assert!(err.contains("unknown option --"), "{args:?}: {err}");
+    }
+    // A value option without its value is an error too.
+    let err = run_bounded(&["serve", "--port"]).unwrap_err();
+    assert!(err.contains("--port needs a value"), "{err}");
+    // `--help` prints usage instead of booting.
+    for args in [&["serve", "--help"][..], &["shard", "--help"]] {
+        let usage = run_bounded(args).expect("help");
+        assert!(usage.contains("USAGE"), "{usage}");
+    }
+}
+
 #[test]
 fn serve_command_boots_ingests_and_drains() {
     use std::io::Write;
