@@ -4,7 +4,7 @@ use car_itemset::{Item, ItemSet};
 
 use crate::bitmap::ItemCounter;
 use crate::candidate::apriori_gen;
-use crate::count::{count_candidates_detailed, CountStrategy};
+use crate::count::count_candidates;
 use crate::frequent::FrequentItemsets;
 use crate::support::MinSupport;
 
@@ -15,15 +15,12 @@ pub struct AprioriConfig {
     pub min_support: MinSupport,
     /// Optional cap on itemset size (`None` = unbounded).
     pub max_size: Option<usize>,
-    /// Support counting engine.
-    pub counting: CountStrategy,
 }
 
 impl AprioriConfig {
-    /// Configuration with the given support threshold and defaults
-    /// elsewhere (no size cap, automatic counting engine).
+    /// Configuration with the given support threshold and no size cap.
     pub fn new(min_support: MinSupport) -> Self {
-        AprioriConfig { min_support, max_size: None, counting: CountStrategy::Auto }
+        AprioriConfig { min_support, max_size: None }
     }
 
     /// Caps the size of mined itemsets.
@@ -32,9 +29,12 @@ impl AprioriConfig {
         self
     }
 
-    /// Selects the counting engine.
-    pub fn with_counting(mut self, counting: CountStrategy) -> Self {
-        self.counting = counting;
+    /// Does nothing: the vertical kernel is the only support counter.
+    /// Kept so callers written against the retired engine choice (the
+    /// benchmark harness passes `MiningConfig::counting` here) still
+    /// build.
+    #[deprecated(note = "the vertical kernel is the only support counter")]
+    pub fn with_counting(self, _counting: ()) -> Self {
         self
     }
 }
@@ -52,7 +52,7 @@ pub struct AprioriStats {
     /// Number of levels (database passes) executed.
     pub levels: u64,
     /// Vertical tid-bitmap constructions performed by the counting
-    /// kernel (one per batch the `Vertical` engine ran for).
+    /// kernel: one per level `k ≥ 2` that had candidates to count.
     pub bitmap_builds: u64,
 }
 
@@ -131,17 +131,12 @@ impl Apriori {
                 stats.candidates_counted.saturating_add(candidates.len() as u64);
             stats.levels = stats.levels.saturating_add(1);
             let span = car_obs::time_span!("mine.apriori.support_count");
-            let outcome = count_candidates_detailed(
-                &candidates,
-                transactions,
-                self.config.counting,
-            );
+            let counts = count_candidates(&candidates, transactions);
             drop(span);
-            stats.bitmap_builds =
-                stats.bitmap_builds.saturating_add(outcome.bitmap_builds);
+            stats.bitmap_builds = stats.bitmap_builds.saturating_add(1);
             large = candidates
                 .into_iter()
-                .zip(&outcome.counts)
+                .zip(&counts)
                 .filter(|&(_, &c)| c >= threshold)
                 .map(|(s, &c)| {
                     result.insert(s.clone(), c);
@@ -191,20 +186,6 @@ mod tests {
         assert_eq!(f.count(&set(&[2, 5])), Some(2));
         assert_eq!(f.count(&set(&[3, 5])), None);
         assert_eq!(f.max_level(), 3);
-    }
-
-    #[test]
-    fn both_engines_agree_on_han_kamber() {
-        let base = AprioriConfig::new(MinSupport::count(2));
-        let a =
-            Apriori::new(base.with_counting(CountStrategy::HashMap)).mine(&han_kamber());
-        let b =
-            Apriori::new(base.with_counting(CountStrategy::HashTree)).mine(&han_kamber());
-        let mut av: Vec<_> = a.iter().map(|(s, c)| (s.clone(), c)).collect();
-        let mut bv: Vec<_> = b.iter().map(|(s, c)| (s.clone(), c)).collect();
-        av.sort();
-        bv.sort();
-        assert_eq!(av, bv);
     }
 
     #[test]

@@ -1,11 +1,7 @@
-//! Vertical tid-bitmap support counting.
+//! Vertical tid-bitmap support counting: the only support counter.
 //!
-//! The horizontal engines ([`count_hashmap`], the hash tree) walk the
-//! database transaction-major and ask, per transaction, *which candidates
-//! does this contain?* — subset enumeration or tree probes, both of which
-//! hash. This module flips the layout: one `Vec<u64>` bitset per item,
-//! bit `t` set iff transaction `t` contains the item. Support of a
-//! candidate `{a, b, c}` is then
+//! One `Vec<u64>` bitset per item, bit `t` set iff transaction `t`
+//! contains the item. Support of a candidate `{a, b, c}` is then
 //!
 //! ```text
 //! popcount(row(a) & row(b) & row(c))
@@ -13,23 +9,24 @@
 //!
 //! word by word — a chained `u64` AND plus `count_ones()`, no subset
 //! enumeration, no hashing, no per-candidate allocation (the row-slice
-//! scratch is reused across candidates). At the paper's densities this
-//! is memory-bandwidth bound and beats both horizontal engines by a
-//! wide margin (see `count.rs` module docs for the measured crossover).
+//! scratch is reused across candidates). The cost is
+//! `O(candidates · k · ⌈n/64⌉)` after an `O(Σ|t|)` build, independent
+//! of transaction length. [`crate::count_candidates`] is the entry
+//! point the miners call.
 //!
 //! Rows are built only for items that actually occur in the candidate
 //! batch; item ids are mapped to dense row indices through [`ItemMap`],
 //! which stores the mapping in a flat [`RefMap`] when the id space is
 //! dense (the common case — vocabulary-interned ids count up from 0)
 //! and falls back to a hash map when ids are sparse enough that a flat
-//! table would waste memory.
+//! table would waste memory. Ids arrive from outside the program (files,
+//! the daemon's ingest body), so the fallback is what keeps an id near
+//! `u32::MAX` from allocating a table that large.
 //!
 //! Every bitmap construction increments the process-global
 //! `car_mine_bitmap_builds_total` counter, which is how the INTERLEAVED
 //! tests prove that cycle skipping means *the bitmap for a skipped unit
 //! is never built at all*.
-//!
-//! [`count_hashmap`]: crate::count::CountStrategy::HashMap
 
 use car_itemset::refstore::{RefCounter, RefMap};
 use car_itemset::ItemSet;
@@ -277,24 +274,23 @@ impl TidBitmaps {
     }
 }
 
-/// Counts every candidate's support via vertical bitmaps; counts are
-/// parallel to `candidates`. `k` is the uniform candidate size (used to
-/// skip transactions too short to matter).
-pub fn count_vertical(
-    candidates: &[ItemSet],
-    transactions: &[ItemSet],
-    k: usize,
-) -> Vec<u64> {
-    let mut bitmaps = TidBitmaps::build(candidates, transactions, k);
-    candidates.iter().map(|c| bitmaps.support(c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
+    }
+
+    /// Every candidate's support from one build; unlike
+    /// `count_candidates`, candidates may mix sizes.
+    fn supports(
+        candidates: &[ItemSet],
+        transactions: &[ItemSet],
+        min_len: usize,
+    ) -> Vec<u64> {
+        let mut bitmaps = TidBitmaps::build(candidates, transactions, min_len);
+        candidates.iter().map(|c| bitmaps.support(c)).collect()
     }
 
     fn naive(candidates: &[ItemSet], transactions: &[ItemSet]) -> Vec<u64> {
@@ -316,7 +312,7 @@ mod tests {
             set(&[1, 2, 3, 4, 5]),
         ];
         assert_eq!(
-            count_vertical(&candidates, &transactions, 2),
+            supports(&candidates, &transactions, 2),
             naive(&candidates, &transactions)
         );
     }
@@ -330,7 +326,7 @@ mod tests {
             .collect();
         let candidates = vec![set(&[7, 9]), set(&[7]), set(&[9, 100])];
         assert_eq!(
-            count_vertical(&candidates, &transactions, 1),
+            supports(&candidates, &transactions, 1),
             naive(&candidates, &transactions)
         );
     }
@@ -339,7 +335,7 @@ mod tests {
     fn unknown_items_count_zero() {
         let candidates = vec![set(&[42, 43])];
         let transactions = vec![set(&[1, 2]), set(&[3])];
-        assert_eq!(count_vertical(&candidates, &transactions, 2), vec![0]);
+        assert_eq!(supports(&candidates, &transactions, 2), vec![0]);
     }
 
     #[test]
@@ -355,7 +351,7 @@ mod tests {
             ItemMap::Hashed(_)
         ));
         assert_eq!(
-            count_vertical(&candidates, &transactions, 1),
+            supports(&candidates, &transactions, 1),
             naive(&candidates, &transactions)
         );
     }
@@ -374,7 +370,7 @@ mod tests {
     #[test]
     fn build_increments_global_counter() {
         let before = MINE.snapshot().bitmap_builds;
-        let _ = count_vertical(&[set(&[1])], &[set(&[1])], 1);
+        let _ = supports(&[set(&[1])], &[set(&[1])], 1);
         assert!(MINE.snapshot().bitmap_builds > before);
     }
 
@@ -382,6 +378,6 @@ mod tests {
     fn short_transactions_are_skipped_without_affecting_counts() {
         let candidates = vec![set(&[1, 2, 3])];
         let transactions = vec![set(&[1, 2]), set(&[1, 2, 3]), set(&[3])];
-        assert_eq!(count_vertical(&candidates, &transactions, 3), vec![1]);
+        assert_eq!(supports(&candidates, &transactions, 3), vec![1]);
     }
 }

@@ -1,243 +1,60 @@
-//! Support counting engines.
+//! Support counting.
 //!
 //! Counting is the hot loop of Apriori: for every candidate `k`-itemset,
-//! how many transactions contain it? Three engines are provided and kept
-//! behaviourally identical (tests and proptests cross-check them):
+//! how many transactions contain it? Both of the paper's miners need
+//! exactly this primitive — SEQUENTIAL once per unit and level,
+//! INTERLEAVED once per unit scan that cycle skipping leaves standing.
+//! [`count_candidates`] answers it with the vertical tid-bitmap kernel
+//! of [`crate::bitmap`]: one bitset per candidate item, support a chained
+//! `u64` AND plus popcount.
 //!
-//! * [`CountStrategy::HashMap`] — enumerate the `k`-subsets of each
-//!   transaction and look them up in a fast hash map. Simple and fast
-//!   while `C(|t|, k)` stays small (short transactions, low `k`).
-//! * [`CountStrategy::HashTree`] — the Apriori paper's hash tree, which
-//!   scales to long transactions and large candidate sets.
-//! * [`CountStrategy::Vertical`] — per-batch vertical tid-bitmaps (one
-//!   `Vec<u64>` bitset per candidate item): support is a chained `u64`
-//!   AND + popcount. See [`crate::bitmap`].
+//! One non-empty call is exactly one bitmap build, so the miners'
+//! `bitmap_builds` counters equal their non-empty counting calls, and a
+//! unit scan that cycle skipping retires builds nothing.
 //!
-//! # The measured `Auto` crossover
-//!
-//! [`CountStrategy::Auto`] picks per batch from measured crossovers on
-//! the fig8 workload (QUEST-style data, 2000 transactions, ~780
-//! candidate pairs; medians from the `fig8_counting` bench, which CI
-//! re-runs in quick mode and archives as `BENCH_fig8.json`):
-//!
-//! * At the paper's default density (avg transaction length 5), Vertical
-//!   counts the batch ~8× faster than HashMap and ~28× faster than
-//!   HashTree (1.12ms → 141µs / 4.01ms → 141µs).
-//! * At high density (avg length 20), Vertical is ~61× faster than
-//!   HashMap and ~246× faster than HashTree (15.5ms / 62.3ms → 253µs).
-//!   The horizontal engines degrade with `C(|t|, k)` subset blow-up or
-//!   tree fan-out; Vertical's cost is `O(candidates · k · ⌈n/64⌉)` and
-//!   does not depend on transaction length at all.
-//!
-//! The crossover is therefore not density-based but *size*-based:
-//! Vertical pays one bitmap build (`O(Σ|t|)` bit sets) per batch, which
-//! only fails to amortise when the batch is trivially small. The rule:
-//!
-//! * batches with `candidates · transactions <` [`VERTICAL_MIN_WORK`]
-//!   (tiny unit scans, e.g. a handful of candidates over a short unit)
-//!   keep the old horizontal split — HashMap, or HashTree once the
-//!   estimated subset-enumeration work `C(max|t|, k)` exceeds
-//!   [`HASHTREE_ENUM_FACTOR`]`· candidates`;
-//! * everything else counts vertically.
+//! The kernel matched or beat subset enumeration and the Apriori hash
+//! tree on every workload measured, the smallest unit scans included, so
+//! it is the only counter (DESIGN.md §15.3).
 
 use car_itemset::ItemSet;
 
-use crate::bitmap::count_vertical;
-use crate::hash::FastHashMap;
-use crate::hash_tree::HashTree;
-
-/// Which support-counting engine to use.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CountStrategy {
-    /// Subset enumeration + hash map lookup.
-    HashMap,
-    /// Classic Apriori hash tree.
-    HashTree,
-    /// Vertical tid-bitmaps: chained AND + popcount per candidate.
-    Vertical,
-    /// Choose automatically per counting batch (see module docs for the
-    /// measured crossover rule).
-    #[default]
-    Auto,
-}
-
-/// The engine [`count_candidates_detailed`] actually ran for a batch
-/// (resolves [`CountStrategy::Auto`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CountEngine {
-    /// Subset enumeration + hash map.
-    HashMap,
-    /// Hash tree.
-    HashTree,
-    /// Vertical tid-bitmaps.
-    Vertical,
-}
-
-/// Result of one counting batch: per-candidate counts plus what ran.
-#[derive(Clone, Debug)]
-pub struct CountOutcome {
-    /// Per-candidate support counts, parallel to the input slice.
-    pub counts: Vec<u64>,
-    /// The engine that produced them.
-    pub engine: CountEngine,
-    /// Vertical bitmap constructions performed (0 or 1 per batch) —
-    /// threaded into `MiningStats::bitmap_builds` by the miners.
-    pub bitmap_builds: u64,
-}
-
-/// Below this `candidates × transactions` product a batch is too small
-/// for the vertical build to amortise; measured on the fig8 workload
-/// (the build overhead dominates only for near-trivial batches).
-pub const VERTICAL_MIN_WORK: u64 = 4096;
-
-/// In the small-batch regime, switch from subset enumeration to the
-/// hash tree when `C(max|t|, k)` exceeds this multiple of the candidate
-/// count.
-pub const HASHTREE_ENUM_FACTOR: u64 = 4;
+use crate::bitmap::TidBitmaps;
 
 /// Counts, for each candidate, the number of transactions containing it.
 ///
 /// All candidates must share the same size `k ≥ 1`. Returns counts
 /// parallel to `candidates`. Transactions shorter than `k` are skipped.
+/// An empty candidate list returns at once and builds no bitmap.
 ///
 /// # Panics
 ///
 /// Panics if candidates have size 0 or mixed sizes.
-pub fn count_candidates(
-    candidates: &[ItemSet],
-    transactions: &[ItemSet],
-    strategy: CountStrategy,
-) -> Vec<u64> {
-    count_candidates_detailed(candidates, transactions, strategy).counts
-}
-
-/// Like [`count_candidates`], but also reports which engine ran and how
-/// many vertical bitmap builds it performed.
-///
-/// # Panics
-///
-/// Panics if candidates have size 0 or mixed sizes.
-pub fn count_candidates_detailed(
-    candidates: &[ItemSet],
-    transactions: &[ItemSet],
-    strategy: CountStrategy,
-) -> CountOutcome {
-    if candidates.is_empty() {
-        return CountOutcome {
-            counts: Vec::new(),
-            engine: CountEngine::HashMap,
-            bitmap_builds: 0,
-        };
-    }
-    let k = candidates[0].len();
+pub fn count_candidates(candidates: &[ItemSet], transactions: &[ItemSet]) -> Vec<u64> {
+    let Some(first) = candidates.first() else {
+        return Vec::new();
+    };
+    let k = first.len();
     assert!(k >= 1, "candidates must be non-empty itemsets");
     assert!(candidates.iter().all(|c| c.len() == k), "candidates must have uniform size");
-
-    let engine = match strategy {
-        CountStrategy::HashMap => CountEngine::HashMap,
-        CountStrategy::HashTree => CountEngine::HashTree,
-        CountStrategy::Vertical => CountEngine::Vertical,
-        CountStrategy::Auto => auto_engine(candidates, transactions, k),
-    };
-    match engine {
-        CountEngine::HashMap => CountOutcome {
-            counts: count_hashmap(candidates, transactions, k),
-            engine,
-            bitmap_builds: 0,
-        },
-        CountEngine::HashTree => CountOutcome {
-            counts: count_hashtree(candidates, transactions),
-            engine,
-            bitmap_builds: 0,
-        },
-        CountEngine::Vertical => CountOutcome {
-            counts: count_vertical(candidates, transactions, k),
-            engine,
-            bitmap_builds: 1,
-        },
-    }
-}
-
-/// The measured-crossover rule for [`CountStrategy::Auto`]; see the
-/// module docs for the numbers behind it.
-fn auto_engine(
-    candidates: &[ItemSet],
-    transactions: &[ItemSet],
-    k: usize,
-) -> CountEngine {
-    let batch_work = (candidates.len() as u64).saturating_mul(transactions.len() as u64);
-    if batch_work >= VERTICAL_MIN_WORK {
-        return CountEngine::Vertical;
-    }
-    // Tiny batch: the horizontal engines' old split. Subset enumeration
-    // explodes with transaction length; the hash tree wins once
-    // C(|t|, k) routinely exceeds the number of candidates a
-    // transaction could realistically contain.
-    let max_len = transactions.iter().map(ItemSet::len).max().unwrap_or(0);
-    let enum_cap = HASHTREE_ENUM_FACTOR.saturating_mul(candidates.len() as u64);
-    if binomial_capped(max_len, k, enum_cap.saturating_add(64)) > enum_cap {
-        CountEngine::HashTree
-    } else {
-        CountEngine::HashMap
-    }
-}
-
-fn count_hashmap(candidates: &[ItemSet], transactions: &[ItemSet], k: usize) -> Vec<u64> {
-    let index: FastHashMap<&ItemSet, usize> =
-        candidates.iter().enumerate().map(|(i, c)| (c, i)).collect();
-    let mut counts = vec![0u64; candidates.len()];
-    for t in transactions {
-        if t.len() < k {
-            continue;
-        }
-        for sub in t.k_subsets(k) {
-            if let Some(&i) = index.get(&sub) {
-                counts[i] = counts[i].saturating_add(1);
-            }
-        }
-    }
-    counts
-}
-
-fn count_hashtree(candidates: &[ItemSet], transactions: &[ItemSet]) -> Vec<u64> {
-    let mut tree = HashTree::build(candidates.to_vec());
-    tree.count_all(transactions);
-    let (_, counts) = tree.into_counts();
-    counts
-}
-
-/// `C(n, k)` capped at `cap` to avoid overflow.
-fn binomial_capped(n: usize, k: usize, cap: u64) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let mut r: u64 = 1;
-    for i in 0..k {
-        r = r.saturating_mul((n - i) as u64) / (i as u64 + 1);
-        if r >= cap {
-            return cap;
-        }
-    }
-    r
+    let mut bitmaps = TidBitmaps::build(candidates, transactions, k);
+    candidates.iter().map(|c| bitmaps.support(c)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::count_itemset;
 
     fn set(ids: &[u32]) -> ItemSet {
         ItemSet::from_ids(ids.iter().copied())
     }
 
     fn naive(candidates: &[ItemSet], transactions: &[ItemSet]) -> Vec<u64> {
-        candidates
-            .iter()
-            .map(|c| transactions.iter().filter(|t| c.is_subset_of(t)).count() as u64)
-            .collect()
+        candidates.iter().map(|c| count_itemset(c, transactions)).collect()
     }
 
     #[test]
-    fn all_strategies_agree_with_naive() {
+    fn matches_naive() {
         let candidates = vec![set(&[1, 2]), set(&[2, 3]), set(&[4, 5]), set(&[1, 5])];
         let transactions = vec![
             set(&[1, 2, 3]),
@@ -247,105 +64,41 @@ mod tests {
             set(&[]),
             set(&[1, 2, 3, 4, 5]),
         ];
-        let expected = naive(&candidates, &transactions);
-        for strategy in [
-            CountStrategy::HashMap,
-            CountStrategy::HashTree,
-            CountStrategy::Vertical,
-            CountStrategy::Auto,
-        ] {
-            assert_eq!(
-                count_candidates(&candidates, &transactions, strategy),
-                expected,
-                "strategy {strategy:?}"
-            );
-        }
+        assert_eq!(
+            count_candidates(&candidates, &transactions),
+            naive(&candidates, &transactions)
+        );
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(count_candidates(&[], &[set(&[1])], CountStrategy::Auto).is_empty());
-        for strategy in
-            [CountStrategy::HashMap, CountStrategy::HashTree, CountStrategy::Vertical]
-        {
-            assert_eq!(count_candidates(&[set(&[1])], &[], strategy), vec![0]);
-        }
+        assert!(count_candidates(&[], &[set(&[1])]).is_empty());
+        assert_eq!(count_candidates(&[set(&[1])], &[]), vec![0]);
     }
 
     #[test]
     fn singleton_candidates() {
         let candidates = vec![set(&[1]), set(&[2]), set(&[9])];
         let transactions = vec![set(&[1, 2]), set(&[1]), set(&[2, 9])];
-        for strategy in
-            [CountStrategy::HashMap, CountStrategy::HashTree, CountStrategy::Vertical]
-        {
-            assert_eq!(
-                count_candidates(&candidates, &transactions, strategy),
-                vec![2, 2, 1]
-            );
-        }
+        assert_eq!(count_candidates(&candidates, &transactions), vec![2, 2, 1]);
     }
 
     #[test]
-    fn long_transactions_trigger_auto_hashtree_and_stay_correct() {
-        // One long transaction makes subset enumeration expensive; in the
-        // small-batch regime Auto must pick the hash tree and still
-        // produce exact counts.
+    fn long_transactions_stay_exact() {
+        // One 30-item transaction holds C(30, 3) = 4060 candidate-sized
+        // subsets; the count must not depend on enumerating them.
         let candidates: Vec<ItemSet> =
             (0..10u32).map(|i| set(&[i, i + 10, i + 20])).collect();
-        let mut transactions = vec![ItemSet::from_ids(0..30u32)];
-        transactions.push(set(&[0, 10, 20]));
-        let expected = naive(&candidates, &transactions);
-        let outcome =
-            count_candidates_detailed(&candidates, &transactions, CountStrategy::Auto);
-        assert_eq!(outcome.counts, expected);
-        assert_eq!(outcome.engine, CountEngine::HashTree);
-        assert_eq!(outcome.bitmap_builds, 0);
-    }
-
-    #[test]
-    fn auto_goes_vertical_on_large_batches() {
-        // 100 candidates × 100 transactions exceeds VERTICAL_MIN_WORK.
-        let candidates: Vec<ItemSet> = (0..100u32).map(|i| set(&[i, i + 1])).collect();
-        let transactions: Vec<ItemSet> =
-            (0..100u32).map(|i| set(&[i, i + 1, i + 2])).collect();
-        let outcome =
-            count_candidates_detailed(&candidates, &transactions, CountStrategy::Auto);
-        assert_eq!(outcome.engine, CountEngine::Vertical);
-        assert_eq!(outcome.bitmap_builds, 1);
-        assert_eq!(outcome.counts, naive(&candidates, &transactions));
-    }
-
-    #[test]
-    fn detailed_reports_forced_engines() {
-        let candidates = vec![set(&[1])];
-        let transactions = vec![set(&[1])];
-        for (strategy, engine, builds) in [
-            (CountStrategy::HashMap, CountEngine::HashMap, 0),
-            (CountStrategy::HashTree, CountEngine::HashTree, 0),
-            (CountStrategy::Vertical, CountEngine::Vertical, 1),
-        ] {
-            let outcome = count_candidates_detailed(&candidates, &transactions, strategy);
-            assert_eq!(outcome.engine, engine);
-            assert_eq!(outcome.bitmap_builds, builds);
-        }
-    }
-
-    #[test]
-    fn binomial_capped_behaviour() {
-        assert_eq!(binomial_capped(5, 2, 1000), 10);
-        assert_eq!(binomial_capped(5, 6, 1000), 0);
-        assert_eq!(binomial_capped(100, 50, 7), 7); // capped
-        assert_eq!(binomial_capped(4, 0, 10), 1);
+        let transactions = vec![ItemSet::from_ids(0..30u32), set(&[0, 10, 20])];
+        assert_eq!(
+            count_candidates(&candidates, &transactions),
+            naive(&candidates, &transactions)
+        );
     }
 
     #[test]
     #[should_panic(expected = "uniform size")]
     fn mixed_candidate_sizes_panic() {
-        let _ = count_candidates(
-            &[set(&[1]), set(&[1, 2])],
-            &[set(&[1])],
-            CountStrategy::HashMap,
-        );
+        let _ = count_candidates(&[set(&[1]), set(&[1, 2])], &[set(&[1])]);
     }
 }

@@ -8,15 +8,10 @@
 //! Components:
 //!
 //! * [`apriori_gen`] — level-wise candidate generation (join + prune).
-//! * Three interchangeable support-counting engines, cross-checked by
-//!   tests and proptests:
-//!   - a subset-enumeration counter over a fast hash map
-//!     ([`CountStrategy::HashMap`]),
-//!   - a classic **hash tree** ([`CountStrategy::HashTree`], the structure
-//!     from the original Apriori paper), and
-//!   - a **vertical tid-bitmap** kernel ([`CountStrategy::Vertical`]):
-//!     support is a chained `u64` AND + popcount over per-item bitsets
-//!     (see [`bitmap`]), by far the fastest at realistic batch sizes.
+//! * [`count_candidates`] — support counting by the **vertical
+//!   tid-bitmap** kernel: support is a chained `u64` AND + popcount over
+//!   per-item bitsets (see [`bitmap`]), checked against [`naive`] by
+//!   tests and proptests.
 //! * [`Apriori`] — the level-wise driver producing [`FrequentItemsets`].
 //! * [`generate_rules`] — `ap-genrules` association rule generation with
 //!   confidence-based consequent pruning.
@@ -45,27 +40,17 @@
 mod apriori;
 pub mod bitmap;
 mod candidate;
-mod closed;
 mod count;
-mod eclat;
-mod fpgrowth;
 mod frequent;
 pub mod hash;
-mod hash_tree;
 pub mod naive;
 mod rules;
 mod support;
 
 pub use apriori::{Apriori, AprioriConfig, AprioriStats};
-pub use bitmap::{count_vertical, ItemMap, TidBitmaps};
+pub use bitmap::{ItemMap, TidBitmaps};
 pub use candidate::apriori_gen;
-pub use closed::{closed_itemsets, maximal_itemsets};
-pub use count::{
-    count_candidates, count_candidates_detailed, CountEngine, CountOutcome, CountStrategy,
-};
-pub use eclat::eclat;
-pub use fpgrowth::fp_growth;
+pub use count::count_candidates;
 pub use frequent::FrequentItemsets;
-pub use hash_tree::HashTree;
 pub use rules::{generate_rules, AssociationRule, Rule};
 pub use support::{MinConfidence, MinSupport};

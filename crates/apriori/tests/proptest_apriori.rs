@@ -1,9 +1,10 @@
-//! Property-based tests: counting engines against a naive oracle, Apriori
-//! against the definition-level miner, and rule-generation invariants.
+//! Property-based tests: the counting kernel against a naive oracle,
+//! Apriori against the definition-level miner, and rule-generation
+//! invariants.
 
 use car_apriori::{
-    count_candidates, eclat, fp_growth, generate_rules, naive, Apriori, AprioriConfig,
-    CountStrategy, MinConfidence, MinSupport,
+    count_candidates, generate_rules, naive, Apriori, AprioriConfig, MinConfidence,
+    MinSupport,
 };
 use car_itemset::ItemSet;
 use proptest::prelude::*;
@@ -60,77 +61,27 @@ proptest! {
             .iter()
             .map(|c| naive::count_itemset(c, &tx))
             .collect();
-        for strategy in [
-            CountStrategy::HashMap,
-            CountStrategy::HashTree,
-            CountStrategy::Vertical,
-            CountStrategy::Auto,
-        ] {
-            prop_assert_eq!(
-                count_candidates(&cands, &tx, strategy),
-                expected.clone(),
-                "strategy {:?}", strategy
-            );
-        }
+        prop_assert_eq!(count_candidates(&cands, &tx), expected);
     }
 
     #[test]
     fn apriori_matches_naive_miner(
         tx in arb_transactions(),
         threshold in 1u64..6,
-    ) {
-        let ms = MinSupport::count(threshold);
-        let fast = Apriori::new(AprioriConfig::new(ms)).mine(&tx);
-        let slow = naive::frequent_itemsets(&tx, ms, None);
-        let mut a: Vec<(ItemSet, u64)> = fast.iter().map(|(s, c)| (s.clone(), c)).collect();
-        let mut b: Vec<(ItemSet, u64)> = slow.iter().map(|(s, c)| (s.clone(), c)).collect();
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn three_miners_agree(
-        tx in arb_transactions(),
-        threshold in 1u64..6,
         max_size in proptest::option::of(1usize..5),
     ) {
-        // Apriori (level-wise), Eclat (tid-lists), and FP-Growth (pattern
-        // growth) are three independent mechanisms; they must produce
-        // identical frequent itemsets with identical counts.
         let ms = MinSupport::count(threshold);
         let mut config = AprioriConfig::new(ms);
         if let Some(cap) = max_size {
             config = config.with_max_size(cap);
         }
-        let a = Apriori::new(config).mine(&tx);
-        let e = eclat(&tx, ms, max_size);
-        let f = fp_growth(&tx, ms, max_size);
-        let sorted = |x: &car_apriori::FrequentItemsets| {
-            let mut v: Vec<(ItemSet, u64)> = x.iter().map(|(s, c)| (s.clone(), c)).collect();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(sorted(&a), sorted(&e), "apriori vs eclat");
-        prop_assert_eq!(sorted(&a), sorted(&f), "apriori vs fp-growth");
-    }
-
-    #[test]
-    fn apriori_engines_agree(
-        tx in arb_transactions(),
-        threshold in 1u64..5,
-    ) {
-        let base = AprioriConfig::new(MinSupport::count(threshold));
-        let sorted = |f: &car_apriori::FrequentItemsets| {
-            let mut v: Vec<(ItemSet, u64)> = f.iter().map(|(s, c)| (s.clone(), c)).collect();
-            v.sort();
-            v
-        };
-        let a = Apriori::new(base.with_counting(CountStrategy::HashMap)).mine(&tx);
-        let b = Apriori::new(base.with_counting(CountStrategy::HashTree)).mine(&tx);
-        let v = Apriori::new(base.with_counting(CountStrategy::Vertical)).mine(&tx);
-        prop_assert_eq!(sorted(&a), sorted(&b), "hashmap vs hashtree");
-        prop_assert_eq!(sorted(&a), sorted(&v), "hashmap vs vertical");
+        let fast = Apriori::new(config).mine(&tx);
+        let slow = naive::frequent_itemsets(&tx, ms, max_size);
+        let mut a: Vec<(ItemSet, u64)> = fast.iter().map(|(s, c)| (s.clone(), c)).collect();
+        let mut b: Vec<(ItemSet, u64)> = slow.iter().map(|(s, c)| (s.clone(), c)).collect();
+        a.sort();
+        b.sort();
+        prop_assert_eq!(a, b);
     }
 
     #[test]
@@ -143,7 +94,7 @@ proptest! {
             .map(|c| naive::count_itemset(c, &tx))
             .collect();
         prop_assert_eq!(
-            count_candidates(&cands, &tx, CountStrategy::Vertical),
+            count_candidates(&cands, &tx),
             expected
         );
     }

@@ -12,9 +12,9 @@ use crate::lexer::{lex, strip_test_code, Allow, Lexed};
 use crate::{arith, atomics, discard, index, locks, panic_free, taint};
 
 /// Which files each lint family applies to. Entries are root-relative
-/// paths; a directory means "every `.rs` file underneath it".
-/// Missing entries are skipped silently so the config stays valid as
-/// files move.
+/// paths; a directory means "every `.rs` file underneath it". The
+/// engine skips a missing entry, so a test checks that every entry of
+/// [`default_config`] exists: a scope never covers less than it lists.
 #[derive(Clone, Debug, Default)]
 pub struct AuditConfig {
     /// A1 panic-freedom scope (hot-path files).
@@ -61,7 +61,6 @@ pub fn default_config() -> AuditConfig {
         a2: s(&["crates/serve/src", "crates/core/src"]),
         a3: s(&[
             "crates/apriori/src/count.rs",
-            "crates/apriori/src/hash_tree.rs",
             "crates/apriori/src/apriori.rs",
             "crates/apriori/src/bitmap.rs",
             "crates/itemset/src/refstore.rs",
@@ -346,8 +345,8 @@ fn resolve_scope(
         } else if abs.is_file() {
             rels.push(entry.replace('\\', "/"));
         }
-        // Missing paths are skipped: scopes describe intent, and the
-        // acceptance gate (zero findings) is unaffected by absences.
+        // Missing paths are skipped; the default scopes are kept whole
+        // by `default_scopes_name_only_existing_paths`.
     }
     for rel in &rels {
         if !cache.contains_key(rel) {
@@ -441,6 +440,30 @@ fn apply_allows(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_scopes_name_only_existing_paths() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let c = default_config();
+        let scopes = [
+            ("a1", &c.a1),
+            ("a2", &c.a2),
+            ("a3", &c.a3),
+            ("a4", &c.a4),
+            ("a5", &c.a5),
+            ("a6", &c.a6),
+        ];
+        let missing: Vec<String> = scopes
+            .iter()
+            .flat_map(|(lint, entries)| entries.iter().map(move |e| (lint, e)))
+            .filter(|(_, entry)| !root.join(entry).exists())
+            .map(|(lint, entry)| format!("{lint}: {entry}"))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "scope entries missing from the workspace: {missing:?}"
+        );
+    }
 
     /// End-to-end on a synthetic tree written to a temp dir.
     fn with_tree(files: &[(&str, &str)], f: impl FnOnce(&Path)) {

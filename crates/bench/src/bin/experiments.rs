@@ -1,6 +1,7 @@
 //! Regenerates the evaluation of the ICDE'98 cyclic association rules
 //! paper: every figure/table of DESIGN.md's experiment index (EXP-1 …
-//! EXP-8) as a printed series.
+//! EXP-9; EXP-8, the retired counting-engine comparison, is gone) as a
+//! printed series.
 //!
 //! ```text
 //! experiments                 # run everything at base scale
@@ -13,7 +14,7 @@
 use car_bench::{
     measure, measure_named, print_series, scenario, ScenarioParams, SeriesRow,
 };
-use car_core::{Algorithm, CountStrategy, InterleavedOptions};
+use car_core::{Algorithm, InterleavedOptions};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Scale {
@@ -72,9 +73,6 @@ fn main() {
     }
     if run(7) {
         exp7_work_metrics(scale);
-    }
-    if run(8) {
-        exp8_counting_engines(scale);
     }
     if run(9) {
         exp9_incremental(scale);
@@ -290,85 +288,6 @@ fn exp7_work_metrics(scale: Scale) {
     println!("cyclic itemsets (interleaved phase 1): {}", int.stats.cyclic_itemsets);
     println!("cyclic rules: {}", int.rules);
     assert_eq!(int.rules, seq.rules);
-    println!();
-}
-
-/// EXP-8: counting-engine comparison (hash map vs hash tree) on short
-/// and long transactions.
-///
-/// Measured directly on the counting primitive (as the fig8 Criterion
-/// bench does) rather than on a full mining run: long dense transactions
-/// with a permissive threshold make the *lattice* explode, which would
-/// measure the workload rather than the engines.
-fn exp8_counting_engines(scale: Scale) {
-    use car_apriori::count_candidates;
-    use car_itemset::ItemSet;
-
-    println!("== EXP-8: counting engines ==");
-    println!(
-        "{:<10}{:<4}{:<8}{:<14}{:<14}{:<14}{:<14}",
-        "avg tx", "k", "cands", "HashMap", "HashTree", "Vertical", "Auto"
-    );
-    let n_tx = match scale {
-        Scale::Small => 2_000usize,
-        Scale::Base => 10_000,
-    };
-    // Rows cover both regimes: many candidates (subset enumeration with a
-    // hash map wins) and few candidates over long transactions (the hash
-    // tree's bucket pruning wins by an order of magnitude).
-    for (avg_len, k, top) in
-        [(5.0f64, 2usize, 48usize), (20.0, 2, 48), (20.0, 3, 48), (40.0, 3, 12)]
-    {
-        // Generate transactions, then count a fixed candidate set built
-        // from the most frequent items (the realistic L2 shape).
-        let mut p = base_params(scale);
-        p.avg_tx_len = avg_len;
-        p.units = 1;
-        p.tx_per_unit = n_tx;
-        p.l_max = 1;
-        p.l_min = 1;
-        let s = scenario("exp8", p);
-        let transactions = s.db.unit(0);
-        let mut counts = std::collections::HashMap::new();
-        for t in transactions {
-            for i in t.iter() {
-                *counts.entry(i).or_insert(0u32) += 1;
-            }
-        }
-        let mut top_counts: Vec<_> = counts.into_iter().collect();
-        top_counts.sort_by_key(|&(i, c)| (std::cmp::Reverse(c), i));
-        let items: Vec<_> = top_counts.into_iter().take(top).map(|(i, _)| i).collect();
-        let universe = ItemSet::from_items(items.iter().copied());
-        let mut candidates: Vec<ItemSet> = universe.k_subsets(k).collect();
-        candidates.sort_unstable();
-
-        let mut cols = Vec::new();
-        let mut reference: Option<Vec<u64>> = None;
-        for strategy in [
-            CountStrategy::HashMap,
-            CountStrategy::HashTree,
-            CountStrategy::Vertical,
-            CountStrategy::Auto,
-        ] {
-            let start = std::time::Instant::now();
-            let result = count_candidates(&candidates, transactions, strategy);
-            cols.push(car_bench::format_duration(start.elapsed()));
-            match &reference {
-                None => reference = Some(result),
-                Some(expected) => assert_eq!(expected, &result, "engines disagreed"),
-            }
-        }
-        println!(
-            "{:<10}{:<4}{:<8}{:<14}{:<14}{:<14}{:<14}",
-            avg_len,
-            k,
-            candidates.len(),
-            cols[0],
-            cols[1],
-            cols[2],
-            cols[3]
-        );
-    }
     println!();
 }
 

@@ -6,7 +6,7 @@
 //! as one workload parameter at a time is swept; this crate provides
 //!
 //! * [`Scenario`] construction for the base workload and each sweep
-//!   (DESIGN.md, experiment index EXP-1 … EXP-8),
+//!   (DESIGN.md, experiment index EXP-1 … EXP-9),
 //! * [`measure`] — one timed mining run with its work counters, and
 //! * [`print_series`] — fixed-width tables in the shape of the paper's
 //!   figure data.

@@ -10,11 +10,25 @@ use crate::args::Args;
 use crate::commands::load_db;
 use crate::error::CliError;
 
+/// Every option `car analyze` reads; anything else is a usage error.
+const OPTIONS: &[&str] = &[
+    "input",
+    "antecedent",
+    "consequent",
+    "min-support",
+    "min-confidence",
+    "l-min",
+    "l-max",
+];
+/// The boolean flags `car analyze` reads.
+const FLAGS: &[&str] = &["per-unit"];
+
 /// Runs the `analyze` command.
 ///
 /// `--antecedent` and `--consequent` take comma-separated item ids, e.g.
 /// `--antecedent 1,2 --consequent 7`.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.reject_unknown(OPTIONS, FLAGS)?;
     let input = args.require("input")?;
     let db = load_db(input)?;
 

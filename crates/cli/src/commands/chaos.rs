@@ -8,10 +8,14 @@ use car_chaos::{run_proxy, ChaosConfig, ScheduleConfig};
 use crate::args::Args;
 use crate::error::CliError;
 
+/// Every option `car chaos` reads; anything else is a usage error.
+const OPTIONS: &[&str] = &["listen", "upstream", "seed", "schedule"];
+
 /// Runs the `chaos` command: boots the proxy between `--listen` and
 /// `--upstream` with the seeded fault schedule and blocks until the
 /// process is killed.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.reject_unknown(OPTIONS, &[])?;
     let listen = args
         .get("listen")
         .ok_or_else(|| CliError::Usage("chaos requires --listen HOST:PORT".into()))?

@@ -10,8 +10,14 @@ use car_cycles::{
 use crate::args::Args;
 use crate::error::CliError;
 
+/// Every option `car detect` reads; anything else is a usage error.
+const OPTIONS: &[&str] = &["sequence", "l-min", "l-max", "max-misses"];
+/// The boolean flags `car detect` reads.
+const FLAGS: &[&str] = &["spectrum"];
+
 /// Runs the `detect` command.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.reject_unknown(OPTIONS, FLAGS)?;
     let sequence = args.require("sequence")?;
     let seq: BitSeq = sequence
         .parse()

@@ -9,8 +9,27 @@ use car_itemset::io as car_io;
 use crate::args::Args;
 use crate::error::CliError;
 
+/// Every option `car gen` reads; anything else is a usage error.
+const OPTIONS: &[&str] = &[
+    "units",
+    "tx-per-unit",
+    "items",
+    "patterns",
+    "cyclic",
+    "cycle-min",
+    "cycle-max",
+    "avg-tx-len",
+    "boost",
+    "seed",
+    "cyclic-len",
+    "out",
+];
+/// The boolean flags `car gen` reads.
+const FLAGS: &[&str] = &["show-planted"];
+
 /// Runs the `gen` command.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.reject_unknown(OPTIONS, FLAGS)?;
     let units: usize = args.parse_or("units", 32)?;
     let tx_per_unit: usize = args.parse_or("tx-per-unit", 500)?;
     let items: u32 = args.parse_or("items", 500)?;

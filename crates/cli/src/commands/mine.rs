@@ -9,8 +9,27 @@ use crate::args::Args;
 use crate::commands::load_db;
 use crate::error::CliError;
 
+/// Every option `car mine` reads; anything else is a usage error.
+const OPTIONS: &[&str] = &[
+    "input",
+    "min-support",
+    "min-confidence",
+    "l-min",
+    "l-max",
+    "max-itemset-size",
+    "max-misses",
+    "algorithm",
+    "threads",
+    "top",
+    "stats-format",
+];
+/// The boolean flags `car mine` reads.
+const FLAGS: &[&str] =
+    &["no-pruning", "no-skipping", "no-elimination", "report", "stats"];
+
 /// Runs the `mine` command.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.reject_unknown(OPTIONS, FLAGS)?;
     let input = args.require("input")?;
     let db = load_db(input)?;
 

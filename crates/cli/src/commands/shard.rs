@@ -136,7 +136,7 @@ const OPTIONS: &[&str] = &[
 /// `car serve` options passed through unchanged to spawned workers
 /// (`--min-support-count` is forwarded too, with a default).
 const FORWARDED: &[&str] =
-    &["min-confidence", "l-min", "l-max", "window", "queue-capacity", "fsync"];
+    &["min-confidence", "l-min", "l-max", "window", "queue-capacity"];
 
 /// Builds the `car serve` options forwarded to every spawned worker.
 fn forwarded_worker_args(args: &Args) -> Vec<String> {

@@ -6,8 +6,12 @@ use crate::args::Args;
 use crate::commands::load_db;
 use crate::error::CliError;
 
+/// Every option `car stats` reads; anything else is a usage error.
+const OPTIONS: &[&str] = &["input"];
+
 /// Runs the `stats` command.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.reject_unknown(OPTIONS, &[])?;
     let input = args.require("input")?;
     let db = load_db(input)?;
 

@@ -16,8 +16,12 @@ use car_serve::Client;
 use crate::args::Args;
 use crate::error::CliError;
 
+/// Every option `car trace` reads; anything else is a usage error.
+const OPTIONS: &[&str] = &["addr", "id", "format", "out"];
+
 /// Runs the `trace` command against a router's `/v1/debug/traces`.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.reject_unknown(OPTIONS, &[])?;
     let addr = args
         .get("addr")
         .ok_or_else(|| CliError::Usage("trace requires --addr HOST:PORT".into()))?;

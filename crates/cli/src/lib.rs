@@ -109,7 +109,7 @@ COMMANDS:
              [--request-budget-ms MS]
              spawn mode forwards: [--min-support-count N] [--min-confidence F]
              [--l-min L] [--l-max L] [--window N] [--queue-capacity N]
-             [--fsync always|never|every=N]
+             (spawned workers keep their state in memory only)
     chaos    Run the deterministic fault-injecting TCP proxy
              --listen HOST:PORT --upstream HOST:PORT
              [--seed S] [--schedule FILE]

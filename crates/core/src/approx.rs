@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
+use car_apriori::{generate_rules, Apriori, Rule};
 use car_cycles::{detect_approx_cycles, ApproxCycle, BitSeq};
 use car_itemset::SegmentedDb;
 
@@ -66,12 +66,7 @@ pub fn mine_approx(
 
     let phase1_start = Instant::now();
     let mut sequences: FastHashMap<Rule, BitSeq> = FastHashMap::default();
-    let mut apriori_config =
-        AprioriConfig::new(config.min_support).with_counting(config.counting);
-    if let Some(cap) = config.max_itemset_size {
-        apriori_config = apriori_config.with_max_size(cap);
-    }
-    let apriori = Apriori::new(apriori_config);
+    let apriori = Apriori::new(config.apriori_config());
     for (unit, transactions) in db.iter_units() {
         let (frequent, apriori_stats) = apriori.mine_with_stats(transactions);
         stats.support_computations += apriori_stats.candidates_counted;

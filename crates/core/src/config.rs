@@ -1,6 +1,6 @@
 use std::fmt;
 
-use car_apriori::{CountStrategy, MinConfidence, MinSupport};
+use car_apriori::{AprioriConfig, MinConfidence, MinSupport};
 use car_cycles::CycleBounds;
 
 /// Configuration shared by every cyclic-rule mining algorithm.
@@ -14,8 +14,12 @@ pub struct MiningConfig {
     pub cycle_bounds: CycleBounds,
     /// Optional cap on mined itemset size.
     pub max_itemset_size: Option<usize>,
-    /// Support counting engine.
-    pub counting: CountStrategy,
+    /// Always `()`: the vertical kernel is the only support counter.
+    /// The field stays so code that forwards it to
+    /// `AprioriConfig::with_counting` (the benchmark harness) still
+    /// builds; it has no effect.
+    #[deprecated(note = "the vertical kernel is the only support counter")]
+    pub counting: (),
 }
 
 impl MiningConfig {
@@ -44,6 +48,11 @@ impl MiningConfig {
         }
         Ok(())
     }
+
+    /// The per-unit Apriori configuration these settings imply.
+    pub(crate) fn apriori_config(&self) -> AprioriConfig {
+        AprioriConfig { min_support: self.min_support, max_size: self.max_itemset_size }
+    }
 }
 
 impl Default for MiningConfig {
@@ -53,7 +62,8 @@ impl Default for MiningConfig {
             min_confidence: MinConfidence::new(0.6).expect("valid constant"),
             cycle_bounds: CycleBounds::make(2, 16),
             max_itemset_size: None,
-            counting: CountStrategy::Auto,
+            #[allow(deprecated)]
+            counting: (),
         }
     }
 }
@@ -66,7 +76,6 @@ pub struct ConfigBuilder {
     min_confidence: Option<f64>,
     cycle_bounds: Option<(u32, u32)>,
     max_itemset_size: Option<usize>,
-    counting: Option<CountStrategy>,
 }
 
 impl ConfigBuilder {
@@ -102,12 +111,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Selects the support counting engine.
-    pub fn counting(mut self, strategy: CountStrategy) -> Self {
-        self.counting = Some(strategy);
-        self
-    }
-
     /// Finalises the configuration.
     pub fn build(self) -> Result<MiningConfig, ConfigError> {
         let min_support = if let Some(c) = self.min_support_count {
@@ -127,7 +130,8 @@ impl ConfigBuilder {
             min_confidence,
             cycle_bounds,
             max_itemset_size: self.max_itemset_size,
-            counting: self.counting.unwrap_or_default(),
+            #[allow(deprecated)]
+            counting: (),
         })
     }
 }

@@ -17,7 +17,7 @@
 //! per-unit mining cost paid exactly once per unit.
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
+use car_apriori::{generate_rules, Apriori, Rule};
 use car_cycles::{detect_cycles, minimal_cycles, BitSeq};
 use car_itemset::{ItemSet, SegmentedDb};
 
@@ -61,14 +61,9 @@ pub struct IncrementalMiner {
 impl IncrementalMiner {
     /// Creates a miner that has seen no units yet.
     pub fn new(config: MiningConfig) -> Self {
-        let mut apriori_config =
-            AprioriConfig::new(config.min_support).with_counting(config.counting);
-        if let Some(cap) = config.max_itemset_size {
-            apriori_config = apriori_config.with_max_size(cap);
-        }
         IncrementalMiner {
             config,
-            apriori: Apriori::new(apriori_config),
+            apriori: Apriori::new(config.apriori_config()),
             units: 0,
             sequences: FastHashMap::default(),
         }

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use car_apriori::bitmap::{ItemCounter, ItemMap};
 use car_apriori::hash::FastHashMap;
-use car_apriori::{apriori_gen, count_candidates_detailed, Rule};
+use car_apriori::{apriori_gen, count_candidates, Rule};
 use car_cycles::{minimal_cycles, CycleSet};
 use car_itemset::{Item, ItemSet, SegmentedDb};
 
@@ -383,12 +383,11 @@ fn find_cyclic_itemsets(
                 .iter()
                 .filter_map(|&idx| states.get(idx).map(|s| s.itemset.clone()))
                 .collect();
-            let outcome =
-                count_candidates_detailed(&candidate_sets, transactions, config.counting);
+            let counts = count_candidates(&candidate_sets, transactions);
             stats.support_computations += active.len() as u64;
-            stats.bitmap_builds += outcome.bitmap_builds;
+            stats.bitmap_builds += 1;
 
-            for (&idx, &count) in active.iter().zip(&outcome.counts) {
+            for (&idx, &count) in active.iter().zip(&counts) {
                 let Some(state) = states.get_mut(idx) else {
                     continue; // `active` indexes into `states` by construction
                 };

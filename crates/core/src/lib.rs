@@ -103,5 +103,5 @@ pub use report::{MiningReport, RankedRule};
 pub use result::{CyclicRule, MiningOutcome, MiningStats, RuleView};
 
 // Re-export the vocabulary types callers need.
-pub use car_apriori::{CountStrategy, MinConfidence, MinSupport, Rule};
+pub use car_apriori::{MinConfidence, MinSupport, Rule};
 pub use car_cycles::{Cycle, CycleBounds};

@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
+use car_apriori::{generate_rules, Apriori, Rule};
 use car_cycles::{detect_cycles, minimal_cycles, BitSeq};
 use car_itemset::SegmentedDb;
 
@@ -48,11 +48,7 @@ pub fn mine_sequential_parallel(
     };
 
     let phase1_start = Instant::now();
-    let mut apriori_config =
-        AprioriConfig::new(config.min_support).with_counting(config.counting);
-    if let Some(cap) = config.max_itemset_size {
-        apriori_config = apriori_config.with_max_size(cap);
-    }
+    let apriori_config = config.apriori_config();
 
     // Contiguous unit ranges, one per worker.
     let chunk = n.div_ceil(threads);

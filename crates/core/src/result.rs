@@ -65,8 +65,8 @@ pub struct MiningStats {
     pub skipped_unit_scans: u64,
     /// Vertical tid-bitmap constructions performed by the counting
     /// kernel. A unit scan skipped by cycle skipping never reaches the
-    /// kernel, so its bitmap is never built — under a forced `Vertical`
-    /// strategy this equals the non-skipped unit scans exactly.
+    /// kernel, so its bitmap is never built: for INTERLEAVED this equals
+    /// the non-skipped unit scans at levels `k ≥ 2` exactly.
     pub bitmap_builds: u64,
     /// Candidate itemsets generated across all levels (after pruning).
     pub candidates_generated: u64,

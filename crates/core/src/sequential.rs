@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, Rule};
+use car_apriori::{generate_rules, Apriori, Rule};
 use car_cycles::{detect_cycles, minimal_cycles, BitSeq};
 use car_itemset::SegmentedDb;
 
@@ -48,12 +48,7 @@ pub fn mine_sequential(
     let phase1_start = Instant::now();
     let phase1_span = car_obs::time_span!("mine.seq.unit_mining");
     let mut sequences: FastHashMap<Rule, BitSeq> = FastHashMap::default();
-    let mut apriori_config =
-        AprioriConfig::new(config.min_support).with_counting(config.counting);
-    if let Some(cap) = config.max_itemset_size {
-        apriori_config = apriori_config.with_max_size(cap);
-    }
-    let apriori = Apriori::new(apriori_config);
+    let apriori = Apriori::new(config.apriori_config());
 
     for (unit, transactions) in db.iter_units() {
         let (frequent, apriori_stats) = apriori.mine_with_stats(transactions);

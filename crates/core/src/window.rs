@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use car_apriori::hash::FastHashMap;
-use car_apriori::{generate_rules, Apriori, AprioriConfig, MinConfidence, Rule};
+use car_apriori::{generate_rules, Apriori, MinConfidence, Rule};
 use car_cycles::{detect_cycles_batch, minimal_cycles, BitSeq, OnlineRuleCycles};
 use car_itemset::ItemSet;
 
@@ -120,14 +120,9 @@ impl SlidingWindowMiner {
     /// never confirm the longest requested cycles.
     pub fn new(config: MiningConfig, window: usize) -> Result<Self, ConfigError> {
         config.validate_for(window)?;
-        let mut apriori_config =
-            AprioriConfig::new(config.min_support).with_counting(config.counting);
-        if let Some(cap) = config.max_itemset_size {
-            apriori_config = apriori_config.with_max_size(cap);
-        }
         Ok(SlidingWindowMiner {
             config,
-            apriori: Apriori::new(apriori_config),
+            apriori: Apriori::new(config.apriori_config()),
             window,
             unit_rules: VecDeque::with_capacity(window + 1),
             unit_items: VecDeque::with_capacity(window + 1),

@@ -6,7 +6,6 @@
 //! [`car_core::MiningStats`] and in the process-global `car-obs`
 //! counters that `/metrics` and `car mine --stats` surface.
 
-use car_apriori::CountStrategy;
 use car_core::interleaved::mine_interleaved;
 use car_core::sequential::mine_sequential;
 use car_core::{InterleavedOptions, MiningConfig};
@@ -76,8 +75,8 @@ fn sequential_records_exact_zeros_for_the_three_optimizations() {
 
 #[test]
 fn skipped_unit_scans_build_zero_bitmaps() {
-    // Force the vertical kernel so every non-skipped unit scan at levels
-    // k >= 2 builds exactly one tid-bitmap. A unit scan skipped by cycle
+    // Every non-skipped unit scan at levels k >= 2 builds exactly one
+    // tid-bitmap. A unit scan skipped by cycle
     // skipping never reaches the kernel, so with and without skipping
     // must differ by exactly the number of skipped unit scans — the
     // "never build the bitmap for a skipped unit" property, proven by
@@ -87,7 +86,6 @@ fn skipped_unit_scans_build_zero_bitmaps() {
         .min_support_fraction(0.2)
         .min_confidence(0.5)
         .cycle_bounds(2, 6)
-        .counting(CountStrategy::Vertical)
         .build()
         .unwrap();
 
@@ -116,7 +114,6 @@ fn bitmap_builds_flush_into_the_global_counter() {
         .min_support_fraction(0.2)
         .min_confidence(0.5)
         .cycle_bounds(2, 6)
-        .counting(CountStrategy::Vertical)
         .build()
         .unwrap();
 

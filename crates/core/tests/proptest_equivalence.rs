@@ -4,8 +4,8 @@
 //! on arbitrary segmented databases.
 
 use car_core::{
-    interleaved::mine_interleaved, sequential::mine_sequential, CountStrategy,
-    InterleavedOptions, MiningConfig,
+    interleaved::mine_interleaved, sequential::mine_sequential, InterleavedOptions,
+    MiningConfig,
 };
 use car_itemset::{ItemSet, SegmentedDb};
 use proptest::prelude::*;
@@ -68,19 +68,6 @@ proptest! {
                 "ablation {:?} diverged (config {:?})", opts, cfg
             );
         }
-    }
-
-    #[test]
-    fn counting_engines_do_not_change_results(
-        db in arb_db(),
-        seed_config in arb_config(4),
-    ) {
-        let mut cfg = seed_config;
-        cfg.counting = CountStrategy::HashMap;
-        let a = mine_interleaved(&db, &cfg, InterleavedOptions::all()).unwrap();
-        cfg.counting = CountStrategy::HashTree;
-        let b = mine_interleaved(&db, &cfg, InterleavedOptions::all()).unwrap();
-        prop_assert_eq!(a.rules, b.rules);
     }
 
     #[test]

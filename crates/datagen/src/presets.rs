@@ -41,7 +41,7 @@ pub fn t10i4_like(units: usize, scale_divisor: usize) -> CyclicConfig {
 }
 
 /// `T40.I10` shape: 1000 items, average transaction size 40, average
-/// pattern size 10 — the dense family that stresses counting engines.
+/// pattern size 10 — the dense family that stresses support counting.
 ///
 /// # Panics
 ///

@@ -69,8 +69,8 @@ impl MiningCounters {
         self.support_computations.fetch_add(support_computations, Ordering::Relaxed);
     }
 
-    /// Counts vertical tid-bitmap constructions — one per counting
-    /// batch the `Vertical` engine actually built bitmaps for.
+    /// Counts vertical tid-bitmap constructions — one per non-empty
+    /// support-counting batch.
     /// Incremented at build time (one atomic add per batch, never per
     /// item), so "a skipped unit builds zero bitmaps" is directly
     /// observable: under INTERLEAVED cycle skipping, skipped unit scans

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`itemset`] | `car-itemset` | items, itemsets, transactions, time-segmented databases, file I/O |
 //! | [`cycles`] | `car-cycles` | binary sequences, cycles, candidate cycle sets, detection |
-//! | [`apriori`] | `car-apriori` | Apriori, hash-tree counting, association rule generation |
+//! | [`apriori`] | `car-apriori` | Apriori, vertical tid-bitmap counting, association rule generation |
 //! | [`core`] | `car-core` | the SEQUENTIAL and INTERLEAVED cyclic-rule miners |
 //! | [`datagen`] | `car-datagen` | Quest-style synthetic data with planted cyclic patterns |
 //!
@@ -49,7 +49,7 @@ pub use car_datagen as datagen;
 pub use car_itemset as itemset;
 
 pub use car_core::{
-    Algorithm, ConfigBuilder, ConfigError, CountStrategy, Cycle, CycleBounds, CyclicRule,
+    Algorithm, ConfigBuilder, ConfigError, Cycle, CycleBounds, CyclicRule,
     CyclicRuleMiner, InterleavedOptions, MinConfidence, MinSupport, MiningConfig,
     MiningOutcome, MiningStats, Rule,
 };

@@ -163,10 +163,22 @@ fn run_bounded(args: &'static [&'static str]) -> Result<String, String> {
 #[test]
 fn daemons_reject_unknown_options_and_print_help() {
     // A typo must be a usage error, not a daemon on default settings.
+    // Spawned shard workers keep no data directory, so `car shard` has
+    // no `--fsync` to forward.
     for args in [
         &["serve", "--port", "0", "--fsyn", "always", "--bogus", "3"][..],
         &["shard", "--port", "0", "--shards", "2", "--bogus", "3"],
         &["shard", "--port", "0", "--workers", "127.0.0.1:1", "--retries", "2"],
+        &["shard", "--port", "0", "--shards", "1", "--fsync", "always"],
+        &[
+            "chaos",
+            "--listen",
+            "127.0.0.1:0",
+            "--upstream",
+            "127.0.0.1:1",
+            "--bogus",
+            "1",
+        ],
     ] {
         let err = run_bounded(args).unwrap_err();
         assert!(err.contains("unknown option --"), "{args:?}: {err}");
@@ -179,6 +191,39 @@ fn daemons_reject_unknown_options_and_print_help() {
         let usage = run_bounded(args).expect("help");
         assert!(usage.contains("USAGE"), "{usage}");
     }
+}
+
+#[test]
+fn commands_reject_unknown_options() {
+    let data = temp_path("typo");
+    std::fs::write(&data, "0 | 1 2\n0 | 1 2\n1 | 1 2\n1 | 1\n").expect("write input");
+    let input = data.to_string_lossy().into_owned();
+    // A typo'd threshold must not mine at the default support.
+    let err = run(&["mine", "--input", &input, "--min-suport", "0.99"]).unwrap_err();
+    assert!(err.contains("unknown option --min-suport"), "{err}");
+    // An unknown flag is refused as well as an unknown value option.
+    let err = run(&["mine", "--input", &input, "--stat"]).unwrap_err();
+    assert!(err.contains("unknown option --stat"), "{err}");
+    for args in [
+        &["gen", "--units", "2", "--bogus", "1"][..],
+        &["detect", "--sequence", "0101", "--bogus"],
+        &[
+            "analyze",
+            "--input",
+            &input,
+            "--antecedent",
+            "1",
+            "--consequent",
+            "2",
+            "--bogus",
+        ],
+        &["stats", "--input", &input, "--bogus", "1"],
+        &["trace", "--addr", "127.0.0.1:1", "--bogus", "1"],
+    ] {
+        let err = run(args).unwrap_err();
+        assert!(err.contains("unknown option --bogus"), "{args:?}: {err}");
+    }
+    std::fs::remove_file(&data).ok();
 }
 
 #[test]
